@@ -18,6 +18,7 @@ from . import (  # noqa: F401  (imports register the cases)
     fig17_data_reuse_dse,
     perf_fused,
     perf_hotpath,
+    perf_ingest,
     perf_multilevel,
     perf_parallel,
     perf_supervised,

@@ -50,7 +50,7 @@ NOISE_BAND = 1e-12
 #: Units marking a metric as an *absolute* wall-clock duration. Only these
 #: are eligible for the cross-environment fail→warn downgrade; measured but
 #: dimensionless metrics (ratios) stay hard-gated on every machine.
-WALL_TIME_UNITS = ("s", "ms", "us")
+WALL_TIME_UNITS = ("s", "ms", "us", "ns")
 
 
 @dataclass(frozen=True)

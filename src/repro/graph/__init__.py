@@ -5,7 +5,7 @@ structure consumed by the layout engines, the XP-style path index used for
 reference-distance queries, statistics for the paper's dataset tables, and
 structural validation.
 """
-from .variation_graph import VariationGraph, Node, Edge, Path, Step
+from .variation_graph import VariationGraph, Node, Edge, Path
 from .gfa import parse_gfa, parse_gfa_text, write_gfa, gfa_to_text, GFAError
 from .lean import LeanGraph, ODGI_NODE_OVERHEAD_BYTES, LEAN_NODE_BYTES
 from .path_index import PathIndex
@@ -26,7 +26,6 @@ __all__ = [
     "Node",
     "Edge",
     "Path",
-    "Step",
     "parse_gfa",
     "parse_gfa_text",
     "write_gfa",

@@ -161,35 +161,34 @@ class LeanGraph:
         """Extract the lean structure from a full variation graph.
 
         Node ids are densified in insertion order, which matches the GFA
-        parser's segment-name mapping.
+        parser's segment-name mapping. The paths' walk columns are
+        concatenated, and every step position comes from one cumulative sum
+        of the visited node lengths, restarted at each path's first step.
         """
-        node_ids = graph.node_ids()
-        id_to_dense = {nid: i for i, nid in enumerate(node_ids)}
+        node_ids = np.fromiter(graph.node_ids(), dtype=np.int64, count=graph.node_count)
         node_lengths = np.fromiter(
-            (graph.node_length(nid) for nid in node_ids), dtype=np.int64, count=len(node_ids)
+            (node.length for node in graph.nodes()), dtype=np.int64, count=graph.node_count
         )
-        path_names: List[str] = []
-        offsets = [0]
-        step_nodes: List[int] = []
-        step_rev: List[bool] = []
-        step_pos: List[int] = []
-        for path in graph.paths():
-            path_names.append(path.name)
-            pos = 0
-            for step in path.steps:
-                dense = id_to_dense[step.node_id]
-                step_nodes.append(dense)
-                step_rev.append(step.is_reverse)
-                step_pos.append(pos)
-                pos += int(node_lengths[dense])
-            offsets.append(len(step_nodes))
+        paths = list(graph.paths())
+        counts = np.fromiter((len(path) for path in paths), dtype=np.int64, count=len(paths))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        step_nodes = np.concatenate([np.empty(0, np.int64)] + [p.nodes for p in paths])
+        step_reverse = np.concatenate([np.empty(0, bool)] + [p.reverse for p in paths])
+        if not np.array_equal(node_ids, np.arange(node_ids.size)):
+            order = np.argsort(node_ids)
+            step_nodes = order[np.searchsorted(node_ids, step_nodes, sorter=order)]
+        ends = np.zeros(step_nodes.size + 1, dtype=np.int64)
+        np.cumsum(node_lengths[step_nodes], out=ends[1:])
+        path_starts = ends[offsets[:-1]]
+        step_positions = ends[:-1]
+        step_positions -= np.repeat(path_starts, counts)
         return cls(
             node_lengths=node_lengths,
-            path_offsets=np.asarray(offsets, dtype=np.int64),
-            step_nodes=np.asarray(step_nodes, dtype=np.int64),
-            step_reverse=np.asarray(step_rev, dtype=bool),
-            step_positions=np.asarray(step_pos, dtype=np.int64),
-            path_names=path_names,
+            path_offsets=offsets,
+            step_nodes=step_nodes,
+            step_reverse=step_reverse,
+            step_positions=step_positions,
+            path_names=[path.name for path in paths],
         )
 
     @classmethod

@@ -86,12 +86,9 @@ def validate_graph(graph: Union[VariationGraph, LeanGraph]) -> ValidationReport:
     # but path-adjacent node pairs lacking an edge indicate a malformed GFA.
     missing_edges = 0
     for path in graph.paths():
-        steps = path.steps
-        for a, b in zip(steps[:-1], steps[1:]):
-            if not (
-                graph.has_edge(a.node_id, b.node_id, a.is_reverse, b.is_reverse)
-                or graph.has_edge(b.node_id, a.node_id, not b.is_reverse, not a.is_reverse)
-            ):
+        nodes, rev = path.nodes.tolist(), path.reverse.tolist()
+        for a, ra, b, rb in zip(nodes, rev, nodes[1:], rev[1:]):
+            if not (graph.has_edge(a, b, ra, rb) or graph.has_edge(b, a, not rb, not ra)):
                 missing_edges += 1
     if missing_edges:
         report.warnings.append(

@@ -16,10 +16,12 @@ consume it directly — they consume the flat, array-based
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Node", "Edge", "Step", "Path", "VariationGraph"]
+import numpy as np
+
+__all__ = ["Node", "Edge", "Path", "VariationGraph"]
 
 
 @dataclass(frozen=True)
@@ -58,31 +60,26 @@ class Edge:
         return (self.from_id, self.from_rev, self.to_id, self.to_rev)
 
 
-@dataclass(frozen=True)
-class Step:
-    """One step of a path: an oriented visit to a node."""
-
-    node_id: int
-    is_reverse: bool = False
-
-
-@dataclass
+@dataclass(eq=False)
 class Path:
-    """A named walk through the graph representing one input genome."""
+    """A named walk through the graph representing one input genome.
+
+    The walk is stored as two flat, index-aligned columns rather than one
+    object per step, so a path of millions of steps costs 9 bytes per step.
+    """
 
     name: str
-    steps: List[Step] = field(default_factory=list)
+    #: ``(n_steps,)`` int64 — node id visited by each step.
+    nodes: np.ndarray
+    #: ``(n_steps,)`` bool — whether each step visits the reverse strand.
+    reverse: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return int(self.nodes.size)
 
     def node_ids(self) -> List[int]:
         """The node identifiers visited, in order."""
-        return [s.node_id for s in self.steps]
-
-    def append(self, node_id: int, is_reverse: bool = False) -> None:
-        """Append a step to the walk."""
-        self.steps.append(Step(node_id, is_reverse))
+        return self.nodes.tolist()
 
 
 class VariationGraph:
@@ -98,6 +95,10 @@ class VariationGraph:
         self._edges: Dict[Tuple[int, bool, int, bool], Edge] = {}
         self._paths: Dict[str, Path] = {}
         self._adjacency: Dict[int, set] = {}
+        # One past the largest node id ever added. While it equals the node
+        # count the ids are exactly 0..n-1, so a path's ids can be checked
+        # with one min/max instead of a membership test per step.
+        self._id_bound = 0
 
     # ------------------------------------------------------------------ nodes
     @property
@@ -127,6 +128,7 @@ class VariationGraph:
             raise ValueError("node ids must be non-negative")
         node = Node(node_id, sequence)
         self._nodes[node_id] = node
+        self._id_bound = max(self._id_bound, node_id + 1)
         self._adjacency[node_id] = set()
         return node
 
@@ -151,7 +153,7 @@ class VariationGraph:
         if node_id not in self._nodes:
             raise KeyError(node_id)
         for path in self._paths.values():
-            if any(s.node_id == node_id for s in path.steps):
+            if np.any(path.nodes == node_id):
                 raise ValueError(
                     f"node {node_id} is still referenced by path '{path.name}'"
                 )
@@ -204,20 +206,37 @@ class VariationGraph:
 
     def add_path(self, name: str, steps: Optional[Iterable[Tuple[int, bool]]] = None) -> Path:
         """Create a path; ``steps`` is an iterable of (node_id, is_reverse)."""
+        pairs = [] if steps is None else list(steps)
+        return self.add_path_columns(
+            name, [node_id for node_id, _ in pairs], [rev for _, rev in pairs]
+        )
+
+    def add_path_columns(
+        self, name: str, nodes: Sequence[int], reverse: Sequence[bool]
+    ) -> Path:
+        """Create a path from its walk columns: node ids and orientations."""
         if name in self._paths:
             raise ValueError(f"path '{name}' already exists")
-        path = Path(name)
-        if steps is not None:
-            for node_id, is_reverse in steps:
-                self.append_step(path, node_id, is_reverse)
+        path = Path(name, np.asarray(nodes, dtype=np.int64),
+                    np.asarray(reverse, dtype=bool))
+        if path.nodes.ndim != 1 or path.nodes.shape != path.reverse.shape:
+            raise ValueError(f"path '{name}': nodes and orientations must be aligned 1-D columns")
+        missing = self._missing_nodes(path.nodes)
+        if missing.size:
+            raise KeyError(f"path step references missing node {int(missing[0])}")
         self._paths[name] = path
         return path
 
-    def append_step(self, path: Path, node_id: int, is_reverse: bool = False) -> None:
-        """Append an oriented node visit to a path."""
-        if node_id not in self._nodes:
-            raise KeyError(f"path step references missing node {node_id}")
-        path.append(node_id, is_reverse)
+    def _missing_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """The entries of ``nodes`` that name no node, in order."""
+        if nodes.size == 0 or (
+            len(self._nodes) == self._id_bound
+            and nodes.min() >= 0
+            and nodes.max() < self._id_bound
+        ):
+            return nodes[:0]
+        known = np.fromiter(self._nodes, dtype=np.int64, count=len(self._nodes))
+        return nodes[~np.isin(nodes, known)]
 
     def get_path(self, name: str) -> Path:
         """Return the path with this name (KeyError if absent)."""
@@ -242,15 +261,17 @@ class VariationGraph:
 
     def total_path_nucleotides(self) -> int:
         """Total nucleotide length of all paths (counts shared nodes repeatedly)."""
-        return sum(
-            sum(self._nodes[s.node_id].length for s in p.steps)
-            for p in self._paths.values()
-        )
+        return sum(self._walk_nucleotides(p.nodes) for p in self._paths.values())
 
     def path_length_nucleotides(self, name: str) -> int:
         """Nucleotide length of one path."""
-        path = self._paths[name]
-        return sum(self._nodes[s.node_id].length for s in path.steps)
+        return self._walk_nucleotides(self._paths[name].nodes)
+
+    def _walk_nucleotides(self, nodes: np.ndarray) -> int:
+        """Summed node lengths of a walk, one lookup per distinct node."""
+        ids, visits = np.unique(nodes, return_counts=True)
+        return sum(self._nodes[i].length * k
+                   for i, k in zip(ids.tolist(), visits.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -295,6 +295,16 @@ class TestCompare:
         assert report.exit_code == 0
         assert any("timing environments" in note for note in report.notes)
 
+    def test_ns_metric_is_wall_time(self):
+        # perf_gfa_ingest's ingest_ns_per_step: gated like the s/ms metrics.
+        old, new = self._wall_pair(500.0, 600.0)
+        for doc in (old, new):
+            doc["cases"][0]["metrics"]["m"]["unit"] = "ns"
+        assert compare_documents(old, new, max_regress=0.10).exit_code == 1
+        new["environment"]["platform"] = "Linux-other-host"
+        report = compare_documents(old, new, max_regress=0.10)
+        assert [d.status for d in report.deltas] == ["warn"]
+
     def test_deterministic_metric_still_fails_across_environments(self):
         old, new = self.pair(2.0, 2.5, "lower")
         new["environment"]["platform"] = "Linux-other-host"

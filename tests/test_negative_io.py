@@ -58,6 +58,45 @@ class TestGfaNegative:
         with pytest.raises(GFAError):
             parse_gfa_text(text)
 
+    @pytest.mark.parametrize("text,line", [
+        ("S\ta\n", 1),
+        ("S\n", 1),
+        ("S\ta\tACGT\nS\ta\tTT\n", 2),
+        ("S\ta\t*\n", 1),
+        ("S\ta\t*\tLN:i:x\n", 1),
+        ("S\ta\t*\tLN:i:-3\n", 1),
+        ("S\ta\tA\nL\ta\t+\ta\n", 2),
+        ("S\ta\tA\nL\ta\t?\ta\t+\t0M\n", 2),
+        ("S\ta\tA\nL\ta\t+\tmissing\t+\t0M\nS\tb\tC\n", 2),
+        ("P\tp\ta+\t*\n", 1),
+        ("H\tVN:Z:1.0\nP\tp\ta+,b+\t*\nS\ta\tA\n", 2),
+        ("S\ta\tA\nP\tp\ta\t*\n", 2),
+        ("S\ta\tA\nP\tp\t,\t*\n", 2),
+        ("S\ta\tA\nP\tp\n", 2),
+        ("S\ta\tA\nP\tp\ta+\t*\nP\tp\ta+\t*\n", 3),
+        # The spilled record is the duplicate: it is applied at end of input.
+        ("P\tp\tb+\t*\nS\ta\tA\nP\tp\ta+\t*\nS\tb\tC\n", 1),
+        ("# comment\n\nS\ta\tA\nP\tp\tz+\t*\n", 4),
+        ("X\twhatever\n", 1),
+        ("\x00\x07\tbinary\n", 1),
+        # GFA 1.1 walks.
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\t+a\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\ta>a\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\t>a<<a\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\t>a>\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\t\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\tx\t1\t>a\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1.5\t>a\n", 2),
+        ("S\ta\tA\nW\ts\th\tc\t0\t1\t>a\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\t>a>zz\n", 2),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\n", 2),
+        ("W\ts\t0\tc\t0\t1\t>a\nS\ta\tA\nW\ts\t0\tc\t0\t1\t>a\n", 1),
+    ])
+    def test_error_names_the_line(self, text, line):
+        with pytest.raises(GFAError, match=f"^line {line}: ") as info:
+            parse_gfa_text(text)
+        assert info.value.lineno == line
+
     def test_empty_paths_are_typed_not_crashes(self):
         # `P name * *` is legal GFA (an empty path); layout then refuses the
         # zero-step graph with a typed error instead of dividing by zero.
