@@ -21,16 +21,22 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+import numpy as np
+
 from ...core import PairSampler, initialize_layout
 from ...core.cpu_baseline import CpuBaselineEngine
 from ...core.updates import UpdateWorkspace, apply_batch
-from ...prng.xoshiro import Xoshiro256Plus
+from ...prng.xoshiro import Xoshiro256Plus, lane_count
 from ..registry import CaseResult, bench_case
 from ..tables import format_table
 
 #: Batch size of the paper's Table III sweet spot and of the regression that
 #: motivated these cases (256 terms per hogwild round).
 _BATCH = 256
+
+#: One ``chr1-flat`` iteration's uniform megablock: calls x streams.
+_DRAW_CALLS = 15808
+_DRAW_STREAMS = 64
 
 
 def _best_ms(fn: Callable[[], object], inner: int, repeats: int = 7,
@@ -136,6 +142,44 @@ def run_sampler(ctx) -> CaseResult:
         [["sample() end to end", f"{sample_ms:.4f}"],
          ["8-vector uniform block", f"{uniforms_ms:.4f}"]],
         title="Smoke: sampler hot-path wall time (Chr.1-like)",
+    ))
+    return out
+
+
+@bench_case("perf_prng_draw", source="Sec. V-B2 (PRNG states)", suites=("smoke",))
+def run_prng_draw(ctx) -> CaseResult:
+    """Xoshiro256+ bulk draw of one iteration's megablock, per double.
+
+    The block must equal ``next_double()`` called once per row, bytes and
+    final state, before anything is recorded. ``prng_lanes`` is the lane
+    count the draw picks for this shape: deterministic, and it drops to 1
+    (tripping the ``higher`` gate) if the jump-ahead lane path stops
+    engaging.
+    """
+    bulk = Xoshiro256Plus(ctx.seed_for("perf_prng_draw/stream"),
+                          n_streams=_DRAW_STREAMS)
+    loop = bulk.copy()
+    block = bulk.next_double_block(_DRAW_CALLS)
+    expected = np.vstack([loop.next_double() for _ in range(_DRAW_CALLS)])
+    assert block.tobytes() == expected.tobytes()
+    assert np.array_equal(bulk.state, loop.state)
+
+    ms = _best_ms(lambda: bulk.next_double_block(_DRAW_CALLS), inner=1,
+                  repeats=7, warmup=1)
+    ns_per_draw = ms * 1e6 / (_DRAW_CALLS * _DRAW_STREAMS)
+    lanes = lane_count(_DRAW_CALLS, _DRAW_STREAMS)
+
+    out = CaseResult()
+    out.add("prng_ns_per_draw", ns_per_draw, unit="ns", direction="lower",
+            deterministic=False)
+    out.add("prng_lanes", lanes, direction="higher")
+    out.tables.append(format_table(
+        ["Quantity", "Value"],
+        [["block", f"{_DRAW_CALLS:,} calls x {_DRAW_STREAMS} streams"],
+         ["lanes", lanes],
+         ["ms per block (best)", f"{ms:.2f}"],
+         ["ns per draw", f"{ns_per_draw:.1f}"]],
+        title="Smoke: Xoshiro256Plus.next_double_block (one chr1-flat iteration)",
     ))
     return out
 

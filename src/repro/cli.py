@@ -47,21 +47,6 @@ __all__ = ["main", "build_parser", "build_bench_parser", "build_analyze_parser",
            "trace_main"]
 
 
-class _DeprecatedThreadsAction(argparse.Action):
-    """``--threads`` alias: warns, then stores into ``simulated_threads``.
-
-    The old flag name suggested real OS threads but only ever widened the
-    emulated hogwild staleness window; it maps onto ``--simulated-threads``
-    (real multi-core execution is ``--workers``).
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print("[warn] --threads is deprecated: it only drives the *simulated* "
-              "hogwild emulation; use --simulated-threads (real multi-core "
-              "execution is --workers)", file=sys.stderr)
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``layout`` argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -118,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emulated Hogwild thread count for the CPU "
                              "engine's staleness window (no OS threads are "
                              "spawned; see --workers for real parallelism)")
-    parser.add_argument("--threads", dest="simulated_threads", type=int,
-                        action=_DeprecatedThreadsAction,
-                        help="deprecated alias for --simulated-threads")
     parser.add_argument("--workers", type=int, default=1,
                         help="real OS worker processes for the "
                              "process-parallel shared-memory hogwild engine "

@@ -13,7 +13,6 @@ are insensitive to the multiplier.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -208,7 +207,7 @@ class LayoutParams:
         if self.zipf_space_max < 1:
             raise ValueError("zipf_space_max must be >= 1")
         if self.simulated_threads < 1:
-            raise ValueError("simulated_threads (n_threads) must be >= 1")
+            raise ValueError("simulated_threads must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.on_worker_failure not in ("fail", "degrade", "restart"):
@@ -258,48 +257,10 @@ class LayoutParams:
         return int(self.cooling_start * self.iter_max)
 
 
-# --------------------------------------------------------------------------
-# Deprecated ``n_threads`` alias. The old name suggested real OS threads but
-# only ever widened the *simulated* hogwild staleness window, so it was
-# renamed to ``simulated_threads`` when the real multi-core knob (``workers``)
-# landed. The alias is installed post-decoration rather than as a field so
-# that ``dataclasses.replace`` (and therefore ``with_``) round-trips without
-# re-folding the alias or re-warning on unrelated replacements.
-
-_DEPRECATION_MSG = (
-    "LayoutParams.n_threads is deprecated: the knob only drives the "
-    "*simulated* hogwild analysis and was renamed to simulated_threads "
-    "(real multi-core execution is the separate workers=N knob)"
-)
-
-_dataclass_init = LayoutParams.__init__
-
-
-def _init_with_alias(self, *args, n_threads: Optional[int] = None, **kwargs) -> None:
-    if n_threads is not None:
-        warnings.warn(_DEPRECATION_MSG, DeprecationWarning, stacklevel=2)
-        # The alias wins: dataclasses.replace() re-passes every stored field,
-        # so an explicit n_threads must override the copied simulated_threads.
-        kwargs["simulated_threads"] = n_threads
-    _dataclass_init(self, *args, **kwargs)
-
-
-_init_with_alias.__wrapped__ = _dataclass_init
-LayoutParams.__init__ = _init_with_alias
-
-
-def _n_threads_read_alias(self) -> int:
-    warnings.warn(_DEPRECATION_MSG, DeprecationWarning, stacklevel=2)
-    return self.simulated_threads
-
-
-LayoutParams.n_threads = property(_n_threads_read_alias)
-
 #: Names accepted as per-call overrides by :func:`replace_params` (and thus
 #: by ``LayoutParams.with_`` and ``layout_graph(**overrides)``): every init
-#: field plus the deprecated ``n_threads`` alias.
+#: field.
 PARAM_FIELD_NAMES = tuple(f.name for f in fields(LayoutParams) if f.init)
-_OVERRIDE_NAMES = frozenset(PARAM_FIELD_NAMES) | {"n_threads"}
 
 
 def replace_params(params: LayoutParams, overrides) -> LayoutParams:
@@ -314,20 +275,9 @@ def replace_params(params: LayoutParams, overrides) -> LayoutParams:
     overrides = dict(overrides)
     if not overrides:
         return params
-    unknown = sorted(set(overrides) - _OVERRIDE_NAMES)
+    unknown = sorted(set(overrides) - set(PARAM_FIELD_NAMES))
     if unknown:
         raise TypeError(
             f"unknown layout parameter(s) {', '.join(map(repr, unknown))}; "
             f"valid names: {', '.join(PARAM_FIELD_NAMES)}")
-    if "n_threads" in overrides:
-        # Translate the deprecated alias here (one warning, right caller
-        # frame) so replace() below deals in real fields only.
-        warnings.warn(_DEPRECATION_MSG, DeprecationWarning, stacklevel=3)
-        alias = overrides.pop("n_threads")
-        if alias is not None:
-            overrides["simulated_threads"] = alias
-        if not overrides:
-            return params
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return replace(params, **overrides)
+    return replace(params, **overrides)

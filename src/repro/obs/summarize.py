@@ -10,7 +10,10 @@ traces phase by phase, the reading-a-trace counterpart of
 Attribution uses the *leaf* phases, not the enclosing ``iteration``/
 ``level`` spans: nested spans overlap by construction, so summing every
 span would double-count. The enclosing spans are reported as their own
-rows but excluded from the share denominator.
+rows but excluded from the share denominator. ``dispatch`` is a leaf with
+children of its own: on the host fused path it encloses the ``selection``
+and ``merge`` spans emitted for the same iteration and labels, so it is
+reported by its self time, with those spans subtracted.
 """
 from __future__ import annotations
 
@@ -24,15 +27,33 @@ __all__ = ["phase_breakdown", "render_summary", "render_compare"]
 #: Spans that *enclose* other spans; excluded from the share denominator.
 ENCLOSING_SPANS = ("iteration", "level")
 
+#: Spans a ``dispatch`` span with the same iteration and labels encloses.
+DISPATCH_CHILDREN = ("selection", "merge")
+
+
+def _span_key(event: TraceEvent) -> Tuple[int, Tuple[Tuple[str, str], ...]]:
+    return event.iteration, tuple(sorted(event.labels.items()))
+
 
 def phase_breakdown(events: Sequence[TraceEvent]
                     ) -> Dict[str, Tuple[int, int, float]]:
-    """Per-phase ``(events, units, total_seconds)`` in first-seen order."""
+    """Per-phase ``(events, units, total_seconds)`` in first-seen order.
+
+    ``dispatch`` totals its self time: the duration of the
+    :data:`DISPATCH_CHILDREN` events that share a dispatch event's
+    iteration and labels is subtracted from it.
+    """
     out: Dict[str, Tuple[int, int, float]] = {}
     for event in events:
         n_events, units, total = out.get(event.name, (0, 0, 0.0))
         out[event.name] = (n_events + 1, units + int(event.count),
                            total + float(event.dur))
+    if "dispatch" in out:
+        keys = {_span_key(e) for e in events if e.name == "dispatch"}
+        nested = sum(float(e.dur) for e in events
+                     if e.name in DISPATCH_CHILDREN and _span_key(e) in keys)
+        n_events, units, total = out["dispatch"]
+        out["dispatch"] = (n_events, units, total - nested)
     return out
 
 

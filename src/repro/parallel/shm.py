@@ -223,9 +223,9 @@ def worker_stream_states(base: Xoshiro256Plus, workers: int,
     if workers == 1:
         return [base.state.copy()]
     n = base.n_streams
-    jumped = base.jump_streams(n * (workers - 1),
-                               seed=derive_seed(seed, "shm-workers"))
-    return [jumped.state[w * n:(w + 1) * n].copy() for w in range(workers)]
+    extended = base.jump_streams(n * (workers - 1),
+                                 seed=derive_seed(seed, "shm-workers"))
+    return [extended.state[w * n:(w + 1) * n].copy() for w in range(workers)]
 
 
 def recovery_stream_states(seed: int, n_streams: int

@@ -49,10 +49,11 @@ Failure policies (``LayoutParams.on_worker_failure``)
     survivor count. The failed iteration's contribution from the dead
     worker is lost; coverage is restored from the next iteration on.
 ``restart``
-    Respawn the worker over the same shared segment with *fresh* jumped
-    PRNG streams (``derive_seed(seed, "shm-respawn")`` — reusing the dead
-    worker's streams could replay draws its crashed half-iteration already
-    consumed), waiting ``backoff_base * 2^k`` (capped) between attempts.
+    Respawn the worker over the same shared segment with *fresh* PRNG
+    streams, SplitMix64-seeded under ``derive_seed(seed, "shm-respawn")``
+    (reusing the dead worker's streams could replay draws its crashed
+    half-iteration already consumed), waiting ``backoff_base * 2^k``
+    (capped) between attempts.
     After ``max_restarts`` failed respawns the worker degrades as above.
 
 Recovery always runs at an iteration barrier: a failure discovered during
@@ -431,7 +432,7 @@ class WorkerSupervisor:
     def _try_restart(self, handle: WorkerHandle) -> bool:
         """Respawn a dead worker's slot; True once it is ready again.
 
-        Fresh jumped streams per attempt (never the dead worker's — its
+        Fresh seeded streams per attempt (never the dead worker's — its
         crashed half-iteration already consumed an unknowable prefix of
         them), capped exponential backoff between attempts, and a fall
         back to degradation after ``max_restarts`` failures.

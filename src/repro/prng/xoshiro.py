@@ -9,16 +9,157 @@ number is far cheaper than the memory traffic it triggers.
 This module implements Xoshiro256+ over an arbitrary number of parallel
 streams (one per simulated CPU thread or GPU thread), with outputs identical
 to the reference C implementation for any given state.
+
+The state transition T is linear over GF(2), so T^m = (x^m mod P)(T) for the
+characteristic polynomial P of T (Cayley–Hamilton): any stream can jump m
+calls ahead in 256 steps. The reference C code's ``jump()`` and
+``long_jump()`` are the cases m = 2^128 and m = 2^192. The bulk draw uses
+this to split a long block into lanes that advance side by side (the host
+analogue of the paper's one-state-per-thread GPU streams, Sec. V-B2).
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .splitmix import seed_streams
 
-__all__ = ["Xoshiro256Plus", "rotl64"]
+__all__ = ["Xoshiro256Plus", "rotl64", "CHARPOLY", "jump_polynomial",
+           "lane_count"]
 
 _U64 = np.uint64
+
+#: Characteristic polynomial P of the Xoshiro256 state transition over GF(2),
+#: bit i holding the coefficient of x^i (degree 256). Recovered from a state
+#: bit sequence by Berlekamp–Massey; ``tests/test_prng_lanes.py`` re-derives
+#: it and checks the published ``JUMP``/``LONG_JUMP`` words against it.
+CHARPOLY = 0x1_0003c03c3f3ecb1904b4edcf26259f850280002bcefd1a5e9d116f2bb0f0f001
+
+#: Blocks shorter than this many calls run the plain call-at-a-time loop.
+_LANE_MIN_CALLS = 1024
+#: Calls per lane at least: the jump pass costs 256 transition steps, so a
+#: lane shorter than that would cost more to start than it saves.
+_LANE_MIN_STEPS = 256
+#: Cap on lanes; together with L <= C/256 it keeps L(L-1) < C.
+_LANE_MAX = 256
+#: Cap on lanes x streams. Past a few thousand elements per ufunc call the
+#: loop is bound by element work rather than per-call dispatch, and the
+#: jump pass (256 XORs over 4 x lanes x streams words) starts to dominate.
+_LANE_WIDTH = 4096
+
+
+def lane_count(n_calls: int, n_streams: int) -> int:
+    """Lanes :meth:`Xoshiro256Plus.next_double_block` splits a block into.
+
+    A fixed function of the block shape, so every draw of the same shape
+    takes the same path; 1 means the plain sequential loop.
+    """
+    if n_calls < _LANE_MIN_CALLS:
+        return 1
+    return max(1, min(_LANE_MAX, n_calls // _LANE_MIN_STEPS,
+                      _LANE_WIDTH // max(1, n_streams)))
+
+
+def _mulmod(a: int, b: int) -> int:
+    """Product of two GF(2)[x] polynomials (as bit masks) reduced mod P."""
+    product = 0
+    while b:
+        low = b & -b
+        product ^= a << (low.bit_length() - 1)
+        b ^= low
+    while product.bit_length() > 256:
+        product ^= CHARPOLY << (product.bit_length() - 257)
+    return product
+
+
+def jump_polynomial(m: int) -> int:
+    """x^m mod P: the polynomial in T that advances a state ``m`` calls."""
+    result, power = 1, 2
+    while m:
+        if m & 1:
+            result = _mulmod(result, power)
+        power = _mulmod(power, power)
+        m >>= 1
+    return result
+
+
+@functools.lru_cache(maxsize=32)
+def _lane_masks(k: int, lanes: int) -> np.ndarray:
+    """Read-only ``(256, lanes, 1)`` bools: ``[i, j, 0]`` is the x^i
+    coefficient of x^(j·k) mod P, the jump that starts lane ``j``."""
+    step = jump_polynomial(k)
+    polys = [1]
+    for _ in range(lanes - 1):
+        polys.append(_mulmod(polys[-1], step))
+    raw = np.frombuffer(b"".join(p.to_bytes(32, "little") for p in polys),
+                        dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little").reshape(lanes, 256)
+    masks = np.ascontiguousarray(bits.T.astype(bool)).reshape(256, lanes, 1)
+    masks.flags.writeable = False
+    return masks
+
+
+def _fill(s0, s1, s2, s3, t, r, rows, start: int, stop: int) -> None:
+    """Write calls ``start .. stop-1`` of the streams in ``s0..s3`` into
+    ``rows[c]`` as 53-bit integers, advancing the words in place.
+
+    Contiguous word columns, two preallocated temporaries and ``out=``
+    ufuncs throughout: the loop allocates nothing and never touches strided
+    state views.
+    """
+    k11, k17, k45, k19 = _U64(11), _U64(17), _U64(45), _U64(19)
+    with np.errstate(over="ignore"):
+        for c in range(start, stop):
+            np.add(s0, s3, out=r)
+            np.right_shift(r, k11, out=r)
+            np.copyto(rows[c], r)  # uint64 -> float64, same as astype
+            np.left_shift(s1, k17, out=t)
+            np.bitwise_xor(s2, s0, out=s2)
+            np.bitwise_xor(s3, s1, out=s3)
+            np.bitwise_xor(s1, s2, out=s1)
+            np.bitwise_xor(s0, s3, out=s0)
+            np.bitwise_xor(s2, t, out=s2)
+            # rotl64(s3, 45) inlined: << 45 | >> (64 - 45).
+            np.left_shift(s3, k45, out=r)
+            np.right_shift(s3, k19, out=s3)
+            np.bitwise_or(r, s3, out=s3)
+
+
+def _advance(s0, s1, s2, s3, t, r) -> None:
+    """One state transition of word arrays, in place: :func:`_fill`'s loop
+    body without the output, which the jump pass does not need."""
+    np.left_shift(s1, _U64(17), out=t)
+    np.bitwise_xor(s2, s0, out=s2)
+    np.bitwise_xor(s3, s1, out=s3)
+    np.bitwise_xor(s1, s2, out=s1)
+    np.bitwise_xor(s0, s3, out=s0)
+    np.bitwise_xor(s2, t, out=s2)
+    np.left_shift(s3, _U64(45), out=r)
+    np.right_shift(s3, _U64(19), out=s3)
+    np.bitwise_or(r, s3, out=s3)
+
+
+def _lane_starts(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``(4, lanes, n)`` words: lane ``j`` is ``state`` jumped by the
+    polynomial in ``masks[:, j, 0]``.
+
+    One pass steps ``state`` 256 times and XORs each stepped state into the
+    accumulators of the lanes whose polynomial has that power of x.
+    """
+    n = state.shape[0]
+    lanes = masks.shape[1]
+    words = state.T.copy()
+    t = np.empty(n, dtype=np.uint64)
+    r = np.empty(n, dtype=np.uint64)
+    # Lane-major accumulators: each masked XOR then runs over whole
+    # 4n-word rows, which is faster than word-major (4, lanes, n).
+    acc = np.zeros((lanes, 4 * n), dtype=np.uint64)
+    row = words.reshape(1, 4 * n)
+    for bit in masks:
+        np.bitwise_xor(acc, row, out=acc, where=bit)
+        _advance(*words, t, r)
+    return np.ascontiguousarray(acc.reshape(lanes, 4, n).transpose(1, 0, 2))
 
 
 def rotl64(x: np.ndarray, k: int) -> np.ndarray:
@@ -96,51 +237,51 @@ class Xoshiro256Plus:
         Returns a ``(n_calls, n_streams)`` float64 array whose row ``c`` is
         byte-identical to the ``c``-th :meth:`next_double` call, and advances
         every stream exactly ``n_calls`` times — the bulk draw and the
-        call-at-a-time draw are interchangeable mid-stream. The state
-        transition is inherently sequential (no jump-ahead), so a Python loop
-        over calls remains, but it is a single tight loop over in-place
-        ``uint64`` ops with the overflow errstate entered once per block
-        instead of once per call — this is the megabatch fill of the fused
-        iteration path and the backing store of the sampler's bulk uniforms.
+        call-at-a-time draw are interchangeable mid-stream. This is the
+        megabatch fill of the fused iteration path and the backing store of
+        the sampler's bulk uniforms.
+
+        Short blocks run one tight loop over calls. A block of
+        :func:`lane_count` L > 1 is drawn as L lanes of k = ⌈C/L⌉ calls:
+        lane j starts from the state jumped j·k calls ahead
+        (:func:`jump_polynomial`; all L starts come from one 256-step pass),
+        then a single loop of k steps advances every lane over
+        L × ``n_streams``-wide words, lane j filling rows j·k … j·k+k−1
+        (the last lane stops at row C−1). The state afterwards is the last
+        lane's state at call C. Nothing about the lanes outlives the call.
         """
         n_calls = int(n_calls)
         if n_calls < 0:
             raise ValueError("n_calls must be >= 0")
-        out = np.empty((n_calls, self.n_streams), dtype=np.float64)
-        if n_calls == 0:
-            return out
-        # Work on contiguous per-word columns with two preallocated uint64
-        # temporaries and ``out=`` ufunc calls throughout: the loop body
-        # allocates nothing and never touches strided views, which is what
-        # makes the bulk fill markedly cheaper than repeated next_double()
-        # while computing the identical word sequence.
         s = self.state
-        s0 = np.ascontiguousarray(s[:, 0])
-        s1 = np.ascontiguousarray(s[:, 1])
-        s2 = np.ascontiguousarray(s[:, 2])
-        s3 = np.ascontiguousarray(s[:, 3])
-        t = np.empty_like(s0)
-        r = np.empty_like(s0)
-        k11, k17, k45, k19 = _U64(11), _U64(17), _U64(45), _U64(19)
-        with np.errstate(over="ignore"):
-            for c in range(n_calls):
-                np.add(s0, s3, out=r)
-                np.right_shift(r, k11, out=r)
-                np.copyto(out[c], r)  # uint64 -> float64, same as astype
-                np.left_shift(s1, k17, out=t)
-                np.bitwise_xor(s2, s0, out=s2)
-                np.bitwise_xor(s3, s1, out=s3)
-                np.bitwise_xor(s1, s2, out=s1)
-                np.bitwise_xor(s0, s3, out=s0)
-                np.bitwise_xor(s2, t, out=s2)
-                # rotl64(s3, 45) inlined: << 45 | >> (64 - 45).
-                np.left_shift(s3, k45, out=r)
-                np.right_shift(s3, k19, out=s3)
-                np.bitwise_or(r, s3, out=s3)
-        s[:, 0] = s0
-        s[:, 1] = s1
-        s[:, 2] = s2
-        s[:, 3] = s3
+        out = np.empty((n_calls, self.n_streams), dtype=np.float64)
+        lanes = lane_count(n_calls, self.n_streams)
+        if lanes == 1:
+            words = s.T.copy()  # contiguous per-word columns
+            t = np.empty_like(words[0])
+            r = np.empty_like(words[0])
+            _fill(*words, t, r, out, 0, n_calls)
+            s[...] = words.T
+        else:
+            # lane_count keeps L <= C/256 and L <= 256, so L(L-1) < C and
+            # the last lane, possibly short, is never empty.
+            k = -(-n_calls // lanes)
+            words = _lane_starts(s, _lane_masks(k, lanes))
+            t = np.empty_like(words[0])
+            r = np.empty_like(words[0])
+            # rows[c] is call c of every lane; lane j owns rows j*k onwards.
+            # The last lane has only ``last`` calls, so the view over all
+            # lanes stops there and the others finish on a view without it.
+            last = n_calls - (lanes - 1) * k
+            row, item = out.strides
+            rows = np.lib.stride_tricks.as_strided(
+                out, shape=(last, lanes, self.n_streams),
+                strides=(row, k * row, item))
+            _fill(*words, t, r, rows, 0, last)
+            s[...] = words[:, -1].T
+            rest = out[:(lanes - 1) * k].reshape(lanes - 1, k, -1)
+            _fill(*words[:, :-1], t[:-1], r[:-1], rest.transpose(1, 0, 2),
+                  last, k)
         out *= 2.0 ** -53
         return out
 
@@ -163,7 +304,13 @@ class Xoshiro256Plus:
             return ((x * bound_arr) >> _U64(32)).astype(np.int64)
 
     def jump_streams(self, n_extra: int, seed: int = 1) -> "Xoshiro256Plus":
-        """Return a generator with ``n_extra`` additional decorrelated streams."""
+        """Return a generator with ``n_extra`` streams appended.
+
+        The new streams are SplitMix64-seeded from ``seed``
+        (:func:`~repro.prng.splitmix.seed_streams`), not jumped: they are
+        decorrelated from the existing ones by seeding, with no
+        jump-polynomial guarantee that the sequences never overlap.
+        """
         extra = seed_streams(seed, n_extra, self.STATE_WORDS)
         return Xoshiro256Plus(np.vstack([self.state, extra]))
 

@@ -22,7 +22,8 @@ from repro.obs import clock
 from repro.obs.metrics import MetricsError, MetricsRegistry
 from repro.obs.ring import (PHASE_NAMES, RING_FIELDS, RingTracer, TraceRing,
                             ring_capacity, ring_payload)
-from repro.obs.summarize import render_compare, render_summary
+from repro.obs.summarize import (phase_breakdown, render_compare,
+                                 render_summary)
 from repro.obs.trace_file import (TRACE_SCHEMA_MAJOR, TRACE_SCHEMA_VERSION,
                                   TraceSchemaError, merge_events,
                                   parse_schema_version, read_trace,
@@ -495,6 +496,35 @@ class TestProgressCallbacks:
         assert all(t == grand_total for _, t, _ in calls)
         assert {s["level"] for _, _, s in calls} \
             == set(range(driver.hierarchy.depth))
+
+
+class TestPhaseBreakdown:
+    def test_dispatch_reports_self_time(self):
+        w0, w1 = {"worker": "0"}, {"worker": "1"}
+        events = [TraceEvent("selection", 1.0, 2.0, 0, labels=w0),
+                  TraceEvent("merge", 3.0, 1.0, 0, labels=w0),
+                  TraceEvent("dispatch", 0.5, 5.0, 0, labels=w0),
+                  # no dispatch span with these labels encloses it
+                  TraceEvent("selection", 1.0, 7.0, 0, labels=w1)]
+        breakdown = phase_breakdown(events)
+        assert breakdown["dispatch"] == (1, 1, 2.0)
+        assert breakdown["selection"] == (2, 2, 9.0)
+
+    def test_flat_run_leaves_fit_inside_iterations(self, small_synthetic,
+                                                   fast_params, tmp_path):
+        path = str(tmp_path / "flat.jsonl")
+        layout_graph(small_synthetic, params=fast_params, trace=path)
+        doc = read_trace(path)
+        phases = phase_breakdown(doc.events)
+        assert {"selection", "merge"} <= set(phases)
+        leaves = sum(phases[name][2] for name in
+                     ("draw", "dispatch", "selection", "merge"))
+        assert leaves <= phases["iteration"][2] + 1e-9
+        assert phases["dispatch"][2] >= 0.0
+        shares = [float(line.split()[-1].rstrip("%"))
+                  for line in render_summary(doc).splitlines()
+                  if line.endswith("%")]
+        assert sum(shares) == pytest.approx(100.0, abs=0.5)
 
 
 class TestTraceCli:

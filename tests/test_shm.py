@@ -216,21 +216,12 @@ class TestRunApi:
 
 
 class TestDeprecatedThreadsAlias:
-    def test_constructor_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="simulated_threads"):
-            p = LayoutParams(n_threads=4)
-        assert p.simulated_threads == 4
-
-    def test_read_alias_warns(self):
-        p = LayoutParams(simulated_threads=3)
-        with pytest.warns(DeprecationWarning):
-            assert p.n_threads == 3
-
-    def test_with_alias_warns_and_wins(self):
-        p = LayoutParams(simulated_threads=2)
-        with pytest.warns(DeprecationWarning):
-            q = p.with_(n_threads=8)
-        assert q.simulated_threads == 8
+    def test_removed_alias_is_rejected(self):
+        with pytest.raises(TypeError, match="n_threads"):
+            LayoutParams(n_threads=4)
+        with pytest.raises(TypeError, match="unknown layout parameter"):
+            LayoutParams().with_(n_threads=8)
+        assert not hasattr(LayoutParams(), "n_threads")
 
     def test_new_name_does_not_warn(self):
         with warnings.catch_warnings():
@@ -238,13 +229,11 @@ class TestDeprecatedThreadsAlias:
             p = LayoutParams(simulated_threads=2).with_(simulated_threads=5)
         assert p.simulated_threads == 5
 
-    def test_cli_threads_flag_maps_with_warning(self, capsys):
+    def test_cli_threads_flag_is_gone(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["--dataset", "MHC", "--threads", "4"])
-        assert args.simulated_threads == 4
-        assert "deprecated" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--dataset", "MHC", "--threads", "4"])
 
     def test_cli_simulated_threads_flag(self, capsys):
         from repro.cli import build_parser

@@ -2,7 +2,7 @@
 
 The multi-worker runs here go through ``run_workers_inline`` — the
 deterministic in-process serialisation of the hogwild race — so the
-properties quantify the *decomposition* (plan slicing, jumped streams,
+properties quantify the *decomposition* (plan slicing, appended streams,
 per-worker fused plans) without inheriting OS scheduler noise.
 """
 from __future__ import annotations
