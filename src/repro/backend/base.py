@@ -133,11 +133,12 @@ class ArrayBackend:
             coords[touched, 1] += xp.bincount(inverse, weights=all_deltas[:, 1],
                                               minlength=m) / counts
         elif merge == "last_writer":
-            # Sequential assignment through ``inverse`` leaves each slot
-            # holding its last occurrence's index (the store race model).
-            last = xp.empty(m, dtype=xp.int64)
-            last[inverse] = xp.arange(inverse.shape[0])
-            coords[touched] += all_deltas[last]
+            # Each slot keeps its highest-index occurrence (the store race
+            # model). A stable sort keeps a slot's occurrences in input
+            # order, so that occurrence ends the slot's run; a repeated-index
+            # assignment would leave the choice to unspecified order.
+            order = xp.argsort(inverse, kind="stable")
+            coords[touched] += all_deltas[order[xp.cumsum(counts) - 1]]
         else:  # pragma: no cover - callers validate before dispatch
             raise ValueError(f"unknown merge policy {merge!r}")
 

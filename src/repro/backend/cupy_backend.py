@@ -4,8 +4,8 @@
 coordinates and the merge staging arrays live in device memory; the generic
 :class:`~repro.backend.base.ArrayBackend` arithmetic runs as CUDA kernels.
 Selection stays on the host (``host_xp`` is NumPy — the multi-stream PRNGs
-produce host arrays), and each batch's index/delta inputs are uploaded by the
-``asarray`` calls inside ``compute_displacements``; ``to_host`` downloads the
+produce host arrays), and each batch's index/distance inputs are uploaded by
+the ``asarray`` calls inside ``prepare_block``; ``to_host`` downloads the
 final coordinates once per run.
 
 Deviations from the generic base:

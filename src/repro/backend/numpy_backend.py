@@ -1,17 +1,22 @@
 """The always-available NumPy reference backend.
 
-This backend *is* the historical implementation: every override below issues
-the exact NumPy call sequence the pre-backend hot path used, so layouts on
-the default backend are byte-identical to the seed implementation and the
-committed smoke baseline does not move. Other backends are validated against
-this one (registry self-test + ``tests/test_conformance.py``).
+This backend *is* the historical implementation: every override below
+performs the same floating-point operations, in the same order, as the
+pre-backend hot path, so layouts on the default backend are byte-identical
+to the seed implementation and the committed smoke baseline does not move.
+Other backends are validated against this one (registry self-test +
+``tests/test_conformance.py``).
 
 The fused iteration path (``run_iteration``, inherited from the generic
-base) is held to the same bar: it re-expresses the historical per-batch
-call sequence segment by segment — one vectorised selection pass (every
+base) is held to the same bar: one vectorised selection pass (every
 selection op is elementwise, so per-term values cannot change) followed by
-the ordinary per-segment displacement/merge kernels — making fused layouts
-byte-identical to unfused ones on this backend. The same argument covers
+the shared block merge, which hoists only coordinate-free work out of the
+segment loop and keeps each segment's displacement and merge expressions —
+making fused layouts byte-identical to unfused ones on this backend. The
+``last_writer`` merge picks each point's surviving contribution with
+``np.maximum.at`` (order-free) instead of a repeated-index assignment,
+whose order NumPy leaves unspecified; the survivor is the same highest-index
+contribution. The same argument covers
 the chunked fused path (``LayoutParams.memory_budget``): chunk boundaries
 are segment boundaries and the bulk PRNG draw is interchangeable
 mid-stream, so budgeted layouts are byte-identical to unbudgeted ones here
@@ -57,15 +62,23 @@ class NumpyBackend(ArrayBackend):
 
     def merge_scatter(self, coords, touched, inverse, counts, all_deltas,
                       merge: str) -> None:
+        # Per-column views: 1-D fancy indexing on a strided column is
+        # markedly cheaper than mixed ``coords[touched, 0]`` indexing, and
+        # ``touched`` is unique, so the values written are the same.
         if merge == "accumulate":
-            coords[touched, 0] += np.bincount(inverse, weights=all_deltas[:, 0])
-            coords[touched, 1] += np.bincount(inverse, weights=all_deltas[:, 1])
+            x, y = coords[:, 0], coords[:, 1]
+            x[touched] += np.bincount(inverse, weights=all_deltas[:, 0])
+            y[touched] += np.bincount(inverse, weights=all_deltas[:, 1])
         elif merge == "hogwild":
-            coords[touched, 0] += np.bincount(inverse, weights=all_deltas[:, 0]) / counts
-            coords[touched, 1] += np.bincount(inverse, weights=all_deltas[:, 1]) / counts
+            x, y = coords[:, 0], coords[:, 1]
+            x[touched] += np.bincount(inverse, weights=all_deltas[:, 0]) / counts
+            y[touched] += np.bincount(inverse, weights=all_deltas[:, 1]) / counts
         elif merge == "last_writer":
-            last = np.empty(touched.size, dtype=np.int64)
-            last[inverse] = np.arange(all_deltas.shape[0])
-            coords[touched] += all_deltas[last]
+            # Each slot keeps its highest-index occurrence. ``maximum.at``
+            # is unbuffered and order-free; every slot occurs at least
+            # once, so the zero start never wins over a real index.
+            last = np.zeros(touched.size, dtype=np.int64)
+            np.maximum.at(last, inverse, np.arange(all_deltas.shape[0]))
+            coords[touched] += np.take(all_deltas, last, axis=0)
         else:  # pragma: no cover - callers validate before dispatch
             raise ValueError(f"unknown merge policy {merge!r}")

@@ -19,6 +19,7 @@ from . import (  # noqa: F401  (imports register the cases)
     perf_fused,
     perf_hotpath,
     perf_ingest,
+    perf_merge,
     perf_multilevel,
     perf_parallel,
     perf_supervised,

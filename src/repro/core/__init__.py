@@ -9,6 +9,7 @@ from .schedule import make_schedule, distance_bounds
 from .layout import Layout, NodeDataLayout, initialize_layout, node_record_addresses
 from .selection import PairSampler, SelectionArrays, StepBatch, zipf_hop_distances
 from .updates import (
+    TermBlock,
     UpdateStats,
     UpdateWorkspace,
     apply_batch,
@@ -16,6 +17,7 @@ from .updates import (
     compact_points,
     compute_displacements,
     merge_batch,
+    prepare_block,
 )
 from .fused import (
     FusedIterationPlan,
@@ -41,6 +43,7 @@ __all__ = [
     "SelectionArrays",
     "StepBatch",
     "zipf_hop_distances",
+    "TermBlock",
     "UpdateStats",
     "UpdateWorkspace",
     "apply_batch",
@@ -48,6 +51,7 @@ __all__ = [
     "compact_points",
     "compute_displacements",
     "merge_batch",
+    "prepare_block",
     "FusedIterationPlan",
     "FusedIterationStats",
     "run_iteration_host",

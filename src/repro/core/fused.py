@@ -22,9 +22,12 @@ Segment semantics are *unchanged*: segments execute sequentially, each term
 reads the coordinates as of its segment's start, and the write merge per
 segment is the same hogwild/accumulate/last_writer scatter — so the fused
 path is a re-sequencing of the historical computation, not a new algorithm.
-On the NumPy backend it is the exact historical call sequence re-expressed
-segment by segment (only the per-batch *statistics* reductions are skipped,
-which touch no coordinate state), making fused layouts byte-identical to
+Runs of equal-size segments are merged as blocks (:func:`block_plan`): the
+work that reads no coordinate is computed once per block, and the
+coordinate work still runs segment by segment in plan order. The unfused
+loop merges through the same kernel with one-segment blocks (only the
+per-batch *statistics* reductions differ, which touch no coordinate
+state), so on the NumPy backend fused layouts are byte-identical to
 unfused ones; other backends are held to the conformance matrix's 1e-9.
 
 The megablock consumes the PRNG streams in the exact order the per-batch
@@ -55,9 +58,11 @@ from .selection import PairSampler, SelectionArrays
 from .updates import UpdateWorkspace, merge_batch
 
 __all__ = [
+    "BLOCK_TERMS",
     "FUSED_BYTES_PER_TERM",
     "FusedIterationStats",
     "FusedIterationPlan",
+    "block_plan",
     "build_iteration_plans",
     "chunk_spans",
     "uniform_call_plan",
@@ -79,6 +84,16 @@ SAMPLE_VECTORS = 8
 #: conservative means a budget is an upper bound, not a target.
 FUSED_BYTES_PER_TERM = 384
 
+#: Term bound of one merge block (:func:`block_plan`). A block's hoisted
+#: state (:func:`~repro.core.updates.prepare_block`: point indices,
+#: compaction keys, weights, one compaction) is O(block), so this constant,
+#: not the chunk or iteration size, fixes its footprint: 4,096 terms is 64
+#: of the CPU baseline's 64-term segments and under 1 MiB of buffers and
+#: sort temporaries. Blocks of 8,192 terms merged no faster on a 2-vCPU
+#: x86-64 VM (numpy 2.4) and raised ``chr1-flat``'s peak RSS by another
+#: 0.3 MiB there.
+BLOCK_TERMS = 4096
+
 
 def uniform_call_plan(plan: List[int], n_streams: int) -> Tuple[np.ndarray, int]:
     """PRNG calls each batch segment consumes from the per-iteration megablock.
@@ -93,6 +108,29 @@ def uniform_call_plan(plan: List[int], n_streams: int) -> Tuple[np.ndarray, int]
         raise ValueError("n_streams must be >= 1")
     need = np.asarray([-(-int(b) // n_streams) for b in plan], dtype=np.int64)
     return need, int(SAMPLE_VECTORS * need.sum())
+
+
+def block_plan(plan: List[int]) -> List[Tuple[int, int]]:
+    """Group a batch plan into merge blocks of equal-size segments.
+
+    Returns ``(segments, size)`` pairs that cover ``plan`` in order: each
+    block is a run of consecutive segments of one ``size``, at most
+    ``BLOCK_TERMS // size`` of them and never fewer than one, so a segment
+    larger than :data:`BLOCK_TERMS` is a block of its own. The fused path
+    merges each block with one :func:`~repro.core.updates.merge_batch`
+    call, which hoists the block's coordinate-free work out of its segment
+    loop.
+    """
+    blocks: List[Tuple[int, int]] = []
+    for size in plan:
+        size = int(size)
+        if blocks:
+            count, last = blocks[-1]
+            if last == size and (count + 1) * size <= BLOCK_TERMS:
+                blocks[-1] = (count + 1, size)
+                continue
+        blocks.append((1, size))
+    return blocks
 
 
 def slice_plan(plan: List[int], workers: int) -> List[List[int]]:
@@ -238,6 +276,8 @@ class FusedIterationPlan:
     n_streams: int
     need_calls: np.ndarray = field(init=False)
     calls_per_iteration: int = field(init=False)
+    #: Merge blocks of :attr:`plan` (:func:`block_plan`).
+    blocks: List[Tuple[int, int]] = field(init=False)
     cache: Dict[str, object] = field(default_factory=dict)
     scratch: Dict[str, object] = field(default_factory=dict)
     #: Optional :class:`repro.obs.tracer.Tracer` (duck-typed to avoid a core
@@ -252,6 +292,7 @@ class FusedIterationPlan:
             raise ValueError("batch plan segments must all be >= 1")
         self.need_calls, self.calls_per_iteration = uniform_call_plan(
             self.plan, self.n_streams)
+        self.blocks = block_plan(self.plan)
 
     # ------------------------------------------------------------ accessors
     @property
@@ -342,10 +383,12 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
       so the *whole iteration's* terms are selected in one vectorised pass
       over the re-laid megablock (every selection op is elementwise, so the
       per-term values are byte-identical to segment-at-a-time selection);
-    * **merges stay sequential** — the planned segments walk the selected
-      terms as views, each reading coordinates as of its segment start and
-      scattering through the backend's merge kernel, exactly the unfused
-      staleness/merge semantics.
+    * **merges stay sequential** — the plan's merge blocks walk the
+      selected terms as views; :func:`~repro.core.updates.merge_batch`
+      computes a block's coordinate-free state once, then merges its
+      segments in order, each reading coordinates as of its segment start
+      and scattering through the backend's merge kernel, exactly the
+      unfused staleness/merge semantics.
 
     On host backends the pass runs on NumPy; a backend advertising
     ``fused_device_selection`` gets the megablock uploaded once per
@@ -394,11 +437,11 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
     t_mrg = tracer.now() if trace else 0.0
     n_collisions = 0
     offset = 0
-    for batch_size in plan.plan:
-        segment = terms.slice(offset, offset + batch_size)
-        offset += batch_size
-        _, collisions = merge_batch(coords, segment, eta, plan.merge,
-                                    plan.workspace)
+    for segments, size in plan.blocks:
+        end = offset + segments * size
+        _, collisions = merge_batch(coords, terms.slice(offset, end), eta,
+                                    plan.merge, plan.workspace, segments)
+        offset = end
         n_collisions += collisions
     if trace:
         tracer.emit("merge", t_mrg, tracer.now() - t_mrg, iteration,

@@ -33,6 +33,14 @@ touches (:func:`compact_points`), making ``apply_batch`` O(batch) per batch
 preallocated scratch buffers removes the per-batch allocation of the large
 staging arrays.
 
+Hoisting: a run of equal-size segments is merged as one *block*
+(:func:`merge_batch` with ``segments > 1``). Everything that reads no
+coordinate — endpoint point indices, ``d_ref`` weights, μ and every
+segment's compaction — is computed once per block (:func:`prepare_block`),
+so the per-segment loop holds only the gather, the displacement arithmetic
+and the scatter. Segments still run strictly in order, each reading the
+coordinates as of its own start, so blocks change no value.
+
 Backend dispatch: every array operation goes through an
 :class:`~repro.backend.ArrayBackend` — the workspace buffers are allocated
 from the backend's namespace, the merge scatters are backend kernels, and
@@ -45,7 +53,7 @@ sequence; engines resolve their backend once (``LayoutParams.backend`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +63,9 @@ from .selection import StepBatch
 __all__ = [
     "UpdateStats",
     "UpdateWorkspace",
+    "TermBlock",
     "compact_points",
+    "prepare_block",
     "compute_displacements",
     "merge_batch",
     "apply_batch",
@@ -104,12 +114,19 @@ class UpdateWorkspace:
 
     One workspace is created per :meth:`LayoutEngine.run` (sized to the
     largest batch of the engine's plan) and threaded through every
-    :func:`apply_batch` / :func:`compute_displacements` call of the run, so
-    the dominant batch-shaped temporaries — endpoint indices, gathered
-    coordinates, displacement vectors and the merge staging arrays — are
-    allocated once instead of once per batch. Buffers grow on demand (engines that expand
-    batches after planning, e.g. warp-shuffle data reuse, stay correct) and
-    never shrink.
+    :func:`apply_batch` / :func:`merge_batch` call of the run, so the
+    dominant temporaries are allocated once instead of once per batch. Two
+    groups of buffers, each with its own capacity:
+
+    * per-segment (:attr:`max_batch` terms) — gathered coordinates,
+      displacement vectors and the merge staging arrays;
+    * per-block (:attr:`max_block` terms) — the coordinate-free state
+      :func:`prepare_block` hoists out of the segment loop: endpoint point
+      indices, compaction keys, ``valid``, ``d_safe`` and μ.
+
+    Buffers grow on demand (engines that expand batches after planning,
+    e.g. warp-shuffle data reuse, stay correct; the fused path's first
+    block grows the block group once) and never shrink.
 
     The buffers live in the memory space of the workspace's
     :class:`~repro.backend.ArrayBackend` (host NumPy by default), which also
@@ -122,26 +139,75 @@ class UpdateWorkspace:
     def __init__(self, max_batch: int = 1, backend: Optional[ArrayBackend] = None):
         self.backend = backend if backend is not None else _default_backend()
         self.max_batch = 0
-        self._grow(max(int(max_batch), 1))
+        self.max_block = 0
+        n = max(int(max_batch), 1)
+        self.ensure(n, n)
 
     def _grow(self, n: int) -> None:
         be = self.backend
         self.max_batch = n
-        self.point_i = be.empty(n, dtype=np.int64)
-        self.point_j = be.empty(n, dtype=np.int64)
-        self.gather_i = be.empty((n, 2), dtype=np.float64)
-        self.gather_j = be.empty((n, 2), dtype=np.float64)
+        self.gather = be.empty((2 * n, 2), dtype=np.float64)
         self.diff = be.empty((n, 2), dtype=np.float64)
         self.mag = be.empty(n, dtype=np.float64)
         self.mag_safe = be.empty(n, dtype=np.float64)
         self.term_delta = be.empty((n, 2), dtype=np.float64)
-        self.merge_points = be.empty(2 * n, dtype=np.int64)
         self.merge_delta = be.empty((2 * n, 2), dtype=np.float64)
 
-    def ensure(self, batch_size: int) -> None:
-        """Grow the buffers if ``batch_size`` exceeds the current capacity."""
+    def _grow_block(self, n: int) -> None:
+        be = self.backend
+        self.max_block = n
+        self.merge_points = be.empty(2 * n, dtype=np.int64)
+        self.merge_keys = be.empty(2 * n, dtype=np.int64)
+        self.valid = be.empty(n, dtype=bool)
+        self.d_safe = be.empty(n, dtype=np.float64)
+        self.mu = be.empty(n, dtype=np.float64)
+
+    def ensure(self, batch_size: int, block_terms: int = 0) -> None:
+        """Grow the buffers for ``batch_size``-term segments and
+        ``block_terms``-term blocks, if either exceeds the capacity."""
         if batch_size > self.max_batch:
             self._grow(int(batch_size))
+        if block_terms > self.max_block:
+            self._grow_block(int(block_terms))
+
+
+@dataclass(slots=True)
+class TermBlock:
+    """The coordinate-free state of a block of equal-size segments.
+
+    Built once per block by :func:`prepare_block`; row ``s`` of a 2-D
+    array, and terms ``s · size`` to ``(s + 1) · size`` of a per-term one,
+    belong to segment ``s``. The arrays are views into the
+    workspace's block buffers or the compaction's own output, so a block
+    is O(block) and is overwritten by the next one.
+    """
+
+    size: int
+    """Terms per segment."""
+    points: Any
+    """``(segments, 2·size)`` flat point indices: the ``i`` endpoints, then
+    the ``j`` endpoints — the merge's endpoint order."""
+    valid: Any
+    """``d_ref > 0`` per term, in batch order."""
+    d_safe: Any
+    """``d_ref`` per term, or 1.0 where it is not positive."""
+    mu: Any
+    """Step size ``min(η / d_safe², 1)`` per term."""
+    touched: Any
+    """Compacted points of every segment, segment after segment, each
+    segment's run sorted."""
+    inverse: Any
+    """``(segments, 2·size)`` slot of each endpoint within its segment's
+    run of :attr:`touched`."""
+    counts: Any
+    """Endpoint occurrences per slot, aligned with :attr:`touched`."""
+    bounds: List[int]
+    """Segment ``s`` owns slots ``bounds[s]:bounds[s + 1]``."""
+
+    @property
+    def n_collisions(self) -> int:
+        """Endpoint occurrences beyond the first per point, summed over segments."""
+        return int(self.points.size) - self.bounds[-1]
 
 
 def compact_points(
@@ -162,57 +228,111 @@ def compact_points(
     return be.compact_points(points)
 
 
-def compute_displacements(
-    coords: np.ndarray,
+def prepare_block(
     batch: StepBatch,
     eta: float,
-    workspace: Optional[UpdateWorkspace] = None,
-    backend: Optional[ArrayBackend] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-term displacement vectors for both endpoints of every term.
+    workspace: UpdateWorkspace,
+    segments: int = 1,
+    n_points: int = 0,
+) -> TermBlock:
+    """Everything ``segments`` equal segments of ``batch`` need but coordinates.
 
-    Returns ``(point_i, point_j, delta)`` where ``point_*`` are flat indices
-    into the ``(2N, 2)`` coordinate array and ``delta`` is the displacement to
-    subtract from point ``i`` (and add to point ``j``). ``coords`` must live
-    in the resolved backend's memory space; the batch's (host) index arrays
-    are coerced with ``backend.asarray``.
-
-    When a ``workspace`` is supplied the returned arrays are views into its
-    buffers and are overwritten by the next call that shares the workspace.
+    ``batch`` holds the segments back to back (its length must be a
+    multiple of ``segments``). Computes, in the workspace backend's
+    namespace and into its block buffers, the endpoint point indices,
+    ``valid``, ``d_safe`` and μ of every term, and every segment's
+    compaction. The compaction is one :meth:`ArrayBackend.compact_points`
+    call over ``segment · n_points + point`` keys (``n_points`` is the
+    coordinate row count; one segment needs no keys): sorted keys group by
+    segment, so each segment's touched points, counts and local inverse are
+    a contiguous run of the block's.
     """
-    be = _resolve_backend(workspace, backend)
+    be = workspace.backend
     xp = be.xp
     n = len(batch)
-    ws = workspace if workspace is not None else UpdateWorkspace(n, backend=be)
-    ws.ensure(n)
+    if n < 1 or segments < 1 or n % segments:
+        raise ValueError(f"cannot split {n} terms into {segments} equal segments")
+    if segments > 1 and n_points < 1:
+        raise ValueError("a block of several segments needs n_points >= 1")
+    size = n // segments
+    workspace.ensure(size, n)
+    shape = (segments, size)
 
-    point_i = ws.point_i[:n]
-    point_j = ws.point_j[:n]
-    xp.multiply(be.asarray(batch.node_i), 2, out=point_i)
-    point_i += be.asarray(batch.vis_i)
-    xp.multiply(be.asarray(batch.node_j), 2, out=point_j)
-    point_j += be.asarray(batch.vis_j)
+    staged = workspace.merge_points[: 2 * n].reshape(segments, 2, size)
+    point_i, point_j = staged[:, 0], staged[:, 1]
+    xp.multiply(be.asarray(batch.node_i).reshape(shape), 2, out=point_i)
+    point_i += be.asarray(batch.vis_i).reshape(shape)
+    xp.multiply(be.asarray(batch.node_j).reshape(shape), 2, out=point_j)
+    point_j += be.asarray(batch.vis_j).reshape(shape)
+    points = staged.reshape(segments, 2 * size)
 
+    # Term-major, like the batch: segment s owns [s * size, (s + 1) * size).
     d_ref = be.asarray(batch.d_ref)
-    valid = d_ref > 0
-    d_safe = xp.where(valid, d_ref, 1.0)
-    w = 1.0 / (d_safe * d_safe)
-    mu = xp.minimum(eta * w, 1.0)
+    valid = xp.greater(d_ref, 0, out=workspace.valid[:n])
+    d_safe = workspace.d_safe[:n]
+    d_safe[...] = 1.0
+    xp.copyto(d_safe, d_ref, where=valid)
+    # mu = min(eta * (1 / d_safe²), 1), evaluated in place op for op.
+    mu = xp.multiply(d_safe, d_safe, out=workspace.mu[:n])
+    xp.divide(1.0, mu, out=mu)
+    xp.multiply(mu, eta, out=mu)
+    xp.minimum(mu, 1.0, out=mu)
 
-    gathered_i = xp.take(coords, point_i, axis=0, out=ws.gather_i[:n])
-    gathered_j = xp.take(coords, point_j, axis=0, out=ws.gather_j[:n])
-    diff = xp.subtract(gathered_i, gathered_j, out=ws.diff[:n])
-    mag = be.rowwise_sqnorm(diff, out=ws.mag[:n])
+    if segments == 1:
+        touched, inverse, counts = be.compact_points(points.reshape(-1))
+        bounds = [0, int(touched.shape[0])]
+    else:
+        base = xp.arange(segments + 1, dtype=np.int64) * n_points
+        keys = xp.add(points, base[:-1, None],
+                      out=workspace.merge_keys[: 2 * n].reshape(points.shape))
+        keys, inverse, counts = be.compact_points(keys.reshape(-1))
+        starts = xp.searchsorted(keys, base)
+        touched = xp.remainder(keys, n_points)
+        inverse = inverse.reshape(points.shape) - starts[:-1, None]
+        bounds = be.to_host(starts).tolist()
+    return TermBlock(size=size, points=points, valid=valid, d_safe=d_safe,
+                     mu=mu, touched=touched,
+                     inverse=inverse.reshape(points.shape), counts=counts,
+                     bounds=bounds)
+
+
+def compute_displacements(
+    coords: np.ndarray,
+    block: TermBlock,
+    segment: int,
+    workspace: UpdateWorkspace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-term displacement vectors for both endpoints of one segment.
+
+    Reads segment ``segment`` of a prepared ``block`` and the current
+    ``coords`` (in the workspace backend's memory space). Returns
+    ``(point_i, point_j, delta)`` where ``point_*`` are flat indices into
+    the ``(2N, 2)`` coordinate array and ``delta`` is the displacement to
+    subtract from point ``i`` (and add to point ``j``). All three are views
+    (into the block and the workspace) that the next call overwrites.
+    """
+    be = workspace.backend
+    xp = be.xp
+    n = block.size
+    points = block.points[segment]
+    lo = segment * n
+    valid = block.valid[lo:lo + n]
+    d_safe = block.d_safe[lo:lo + n]
+    mu = block.mu[lo:lo + n]
+
+    gathered = xp.take(coords, points, axis=0, out=workspace.gather[: 2 * n])
+    diff = xp.subtract(gathered[:n], gathered[n:], out=workspace.diff[:n])
+    mag = be.rowwise_sqnorm(diff, out=workspace.mag[:n])
     xp.sqrt(mag, out=mag)
-    mag_safe = xp.maximum(mag, _MIN_DISTANCE, out=ws.mag_safe[:n])
+    mag_safe = xp.maximum(mag, _MIN_DISTANCE, out=workspace.mag_safe[:n])
     delta_scalar = xp.where(valid, mu * (mag - d_safe) / 2.0, 0.0)
     # Degenerate coincident points: nudge along x to separate them.
-    unit = xp.divide(diff, mag_safe[:, None], out=ws.term_delta[:n])
+    unit = xp.divide(diff, mag_safe[:, None], out=workspace.term_delta[:n])
     coincident = mag < _MIN_DISTANCE
     if bool(coincident.any()):
         unit[coincident] = be.asarray([1.0, 0.0])
     delta = xp.multiply(unit, delta_scalar[:, None], out=unit)
-    return point_i, point_j, delta
+    return points[:n], points[n:], delta
 
 
 def merge_batch(
@@ -221,38 +341,37 @@ def merge_batch(
     eta: float,
     merge: str,
     workspace: UpdateWorkspace,
+    segments: int = 1,
 ) -> Tuple[np.ndarray, int]:
-    """Displace and merge one non-empty batch into ``coords`` — no statistics.
+    """Displace and merge ``segments`` equal segments of ``batch`` into ``coords``.
 
-    The coordinate-mutating core shared by :func:`apply_batch` and the fused
-    iteration path (:mod:`repro.core.fused`): gather, stress gradient, merge
-    staging and the backend merge scatter, issuing exactly the call sequence
-    :func:`apply_batch` always issued. What it *skips* is everything that
-    only feeds :class:`UpdateStats` — the per-term step-magnitude reductions
-    and the zero-reference count — which touch no coordinate state, so
-    layouts are byte-identical whichever entry point ran.
+    The one merge implementation: :func:`apply_batch` calls it with one
+    segment, the fused iteration path (:mod:`repro.core.fused`) with a
+    block of equal segments. :func:`prepare_block` computes the block's
+    coordinate-free state once; then, segment by segment and in order,
+    :func:`compute_displacements` reads the coordinates as of the segment's
+    start, the ``[−δ; δ]`` deltas are staged, and the backend's
+    ``merge_scatter`` writes them through the segment's precomputed
+    compaction. No statistics are computed here.
 
-    Returns ``(delta, n_point_collisions)``; ``delta`` is the per-term
-    displacement view into the workspace (overwritten by the next call).
+    Returns ``(delta, n_point_collisions)``: ``delta`` is the last
+    segment's per-term displacement view into the workspace (overwritten
+    by the next call), the collision count is summed over the block.
     """
     be = workspace.backend
     xp = be.xp
-    n = len(batch)
-    point_i, point_j, delta = compute_displacements(coords, batch, eta,
-                                                    workspace=workspace)
-
-    all_points = workspace.merge_points[: 2 * n]
-    all_points[:n] = point_i
-    all_points[n:] = point_j
-    all_deltas = workspace.merge_delta[: 2 * n]
-    xp.negative(delta, out=all_deltas[:n])
-    all_deltas[n:] = delta
-
-    touched, inverse, counts = be.compact_points(all_points)
-    n_collisions = int(all_points.size - touched.size)
-
-    be.merge_scatter(coords, touched, inverse, counts, all_deltas, merge)
-    return delta, n_collisions
+    block = prepare_block(batch, eta, workspace, segments, coords.shape[0])
+    size = block.size
+    bounds = block.bounds
+    all_deltas = workspace.merge_delta[: 2 * size]
+    for segment in range(segments):
+        _, _, delta = compute_displacements(coords, block, segment, workspace)
+        xp.negative(delta, out=all_deltas[:size])
+        all_deltas[size:] = delta
+        lo, hi = bounds[segment], bounds[segment + 1]
+        be.merge_scatter(coords, block.touched[lo:hi], block.inverse[segment],
+                         block.counts[lo:hi], all_deltas, merge)
+    return delta, block.n_collisions
 
 
 def apply_batch(

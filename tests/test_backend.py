@@ -201,7 +201,7 @@ class TestWorkspaceBackend:
         ws = UpdateWorkspace(4, backend=be)
         ws.ensure(64)
         assert ws.backend is be
-        assert ws.point_i.size == 64
+        assert ws.mag.size == 64
 
     def test_apply_batch_backend_mismatch_rejected(self, small_synthetic):
         class Other(NumpyBackend):

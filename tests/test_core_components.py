@@ -9,6 +9,7 @@ from repro.core import (
     Layout,
     NodeDataLayout,
     PairSampler,
+    UpdateWorkspace,
     apply_batch,
     batch_stress,
     compute_displacements,
@@ -16,6 +17,7 @@ from repro.core import (
     initialize_layout,
     make_schedule,
     node_record_addresses,
+    prepare_block,
     zipf_hop_distances,
 )
 from repro.prng import Xoshiro256Plus
@@ -352,7 +354,9 @@ class TestUpdates:
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(1, n_streams=64)
         batch = sampler.sample(rng, 64, iteration=0)
-        pi, pj, delta = compute_displacements(layout.coords, batch, eta=0.5)
+        ws = UpdateWorkspace(64)
+        block = prepare_block(batch, 0.5, ws)
+        pi, pj, delta = compute_displacements(layout.coords, block, 0, ws)
         assert pi.shape == pj.shape == (64,)
         assert delta.shape == (64, 2)
         # Zero-reference terms get zero displacement.

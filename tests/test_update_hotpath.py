@@ -20,6 +20,7 @@ from repro.core import (
     compact_points,
     compute_displacements,
     initialize_layout,
+    prepare_block,
     split_into_batches,
 )
 from repro.core.updates import _MIN_DISTANCE
@@ -205,7 +206,8 @@ class TestWorkspace:
         batch = sampler.sample(rng, 32, iteration=0)
         coords = initialize_layout(small_synthetic, seed=2).coords
         ws = UpdateWorkspace(32)
-        _, _, delta = compute_displacements(coords, batch, 0.5, workspace=ws)
+        block = prepare_block(batch, 0.5, ws)
+        _, _, delta = compute_displacements(coords, block, 0, ws)
         assert delta.base is ws.term_delta
 
 
