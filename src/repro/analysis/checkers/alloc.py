@@ -8,9 +8,9 @@ never allocates in steady state. This pass flags array-allocating calls
 ``for``/``while`` bodies of the scoped hot-loop code:
 
 * the whole of ``core/updates.py`` and ``core/fused.py``;
-* engine run paths — functions named ``run`` / ``run_inline`` /
-  ``run_fixed_hop`` / ``run_iteration`` / ``run_iteration_host`` /
-  ``_worker_main`` — in any hot-path directory.
+* engine run paths — functions named ``run`` (the iteration driver) /
+  ``run_iteration`` / ``run_iteration_host`` / ``_worker_main`` — in any
+  hot-path directory.
 
 Per-iteration functions (:data:`PER_ITERATION_FUNCS`) are additionally
 scanned over their *whole* body, loop or not: the engine calls them every
@@ -19,6 +19,8 @@ even though no loop syntax surrounds it. (This is the extension that would
 have caught ``iteration_draws`` allocating its ``(8, total_terms)``
 selection block afresh each iteration — fixed in PR 8 by hoisting the
 buffer into the plan cache.)
+The chunk loop ``step_units`` and every engine's per-iteration ``step``
+are among them.
 
 Deliberate in-loop allocation (a grow-on-demand path, a once-per-run
 setup loop) is annotated ``# alloc-ok: <reason>``. Severity is
@@ -53,14 +55,15 @@ ALLOC_CALLS = {
 HOT_LOOP_FILES = {("core", "updates.py"), ("core", "fused.py")}
 
 #: Function names treated as engine run paths inside hot-path directories.
-RUN_PATH_FUNCS = {"run", "run_inline", "run_fixed_hop", "run_iteration",
-                  "run_iteration_host", "_worker_main"}
+RUN_PATH_FUNCS = {"run", "run_iteration", "run_iteration_host",
+                  "_worker_main"}
 
 #: Functions the engine invokes once (or more) per iteration: their whole
 #: body is per-iteration steady state, so allocation is flagged anywhere in
-#: it, not only inside loop bodies.
+#: it, not only inside loop bodies. ``step_units`` is the one chunk loop;
+#: ``step`` is the per-iteration step every engine session hands the driver.
 PER_ITERATION_FUNCS = {"run_iteration", "run_iteration_host",
-                       "iteration_draws"}
+                       "iteration_draws", "step_units", "step"}
 
 
 def _is_hot_loop_file(src: SourceFile) -> bool:

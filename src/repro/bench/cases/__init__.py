@@ -1,9 +1,8 @@
 """Built-in benchmark cases (one module per paper figure/table + CI smoke).
 
-Importing this package registers every case with the global registry.
-``benchmarks/bench_*.py`` keep thin pytest shims over these modules, so the
-same case bodies back three entry points: ``repro bench run``, ``pytest
-benchmarks/`` and ``python benchmarks/bench_<name>.py``.
+Importing this package registers every case with the global registry. The
+case bodies back two entry points: ``repro bench run`` (whole suites) and
+:func:`repro.bench.run_case` (one case by name, printing its tables).
 """
 from __future__ import annotations
 

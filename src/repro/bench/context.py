@@ -1,11 +1,10 @@
 """Shared execution context for benchmark cases.
 
 One :class:`BenchContext` is built per ``repro bench run`` invocation (and
-per pytest session of the ``benchmarks/`` harness). It plays the role the old
-``benchmarks/conftest.py`` fixtures played — cached datasets and layout
-parameters — with one crucial addition: **every stochastic choice a case
-makes is derived from a single explicit master seed**, so two runs of the
-same suite on the same commit produce byte-identical metric values.
+per :func:`~repro.bench.runner.run_case` call). It carries the cached
+datasets and layout parameters, and **every stochastic choice a case makes
+is derived from a single explicit master seed**, so two runs of the same
+suite on the same commit produce byte-identical metric values.
 
 Seed discipline
 ---------------

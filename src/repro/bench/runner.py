@@ -121,7 +121,10 @@ def run_case(
     registry: Optional[BenchRegistry] = None,
     echo: Callable[[str], None] = print,
 ) -> CaseResult:
-    """Execute one registered case by name (the ``__main__`` shim entry)."""
+    """Execute one registered case by name and echo its tables::
+
+        python -c "from repro.bench import run_case; run_case('<name>')"
+    """
     if registry is None:
         registry = load_builtin_cases()
     case = registry.get(name)

@@ -1,16 +1,22 @@
-"""Shared machinery for the layout engines.
+"""Shared machinery for the layout engines: the one iteration driver.
 
-All three engines (CPU baseline, batched "PyTorch-style", optimized GPU
-kernel) run the same outer loop: for each iteration take the scheduled
-learning rate, draw update terms in batches, and apply them. They differ in
-batch granularity, in how randomness is organised (per thread / per warp),
-and in which hardware counters they expose. The common loop lives here so
-the engines stay focused on what the paper varies.
+Every engine — the CPU baseline, the batched "PyTorch-style" engine, the
+optimized GPU kernel, the shared-memory workers and their inline
+serialisation — runs Alg. 1 through :meth:`LayoutEngine.run`: for each
+iteration take the scheduled learning rate, advance the run by one
+iteration, and account it. An engine supplies only its :meth:`session`:
+the set-up before the first iteration, the per-iteration step, and the
+tear-down after the last. The fused chunk loop every step bottoms out in
+is :func:`step_units`. The engines differ in batch granularity, in how
+randomness is organised (per thread / per warp / per worker), and in which
+hardware counters they expose — what the paper varies.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 
 from ..backend import ArrayBackend, get_backend
@@ -19,8 +25,8 @@ from ..graph.path_index import PathIndex
 from ..memtrack import PeakTracker
 from ..obs import clock as obs_clock
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
-from ..obs.trace_file import write_trace
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.trace_file import merge_events, write_trace
+from ..obs.tracer import NULL_TRACER, TraceEvent, Tracer
 from ..prng.xoshiro import Xoshiro256Plus
 from .fused import FusedIterationPlan, build_iteration_plans
 from .layout import Layout, NodeDataLayout, initialize_layout
@@ -30,7 +36,8 @@ from .selection import PairSampler, StepBatch
 from .updates import UpdateWorkspace, apply_batch, batch_stress
 
 __all__ = ["IterationRecord", "LayoutResult", "LayoutEngine",
-           "ProgressCallback", "split_into_batches"]
+           "ProgressCallback", "Session", "StepStats", "Unit",
+           "split_into_batches", "step_units"]
 
 #: Signature of the live-progress hook (``LayoutEngine.on_progress``,
 #: threaded through :func:`repro.core.api.layout_graph`): called after each
@@ -58,6 +65,79 @@ def split_into_batches(total: int, chunk: int) -> List[int]:
     if rem:
         plan.append(rem)
     return plan
+
+
+#: One execution unit: a generator and the fused chunk plans it draws for.
+#: A flat fused run has one unit; a worker has one per sub-plan it runs.
+Unit = Tuple[Xoshiro256Plus, List[FusedIterationPlan]]
+
+
+def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
+               iteration: int, tracer: Tracer,
+               t0: float) -> Tuple[int, int, int]:
+    """Advance every unit by one fused iteration, chunk by chunk, in order.
+
+    Each chunk is one ``rng.next_double_block`` draw and one
+    ``backend.run_iteration`` dispatch. Sequential per-chunk draws consume
+    exactly the stream state one whole-iteration draw would (the bulk draw
+    is interchangeable mid-stream), so chunking never moves a sampled term.
+    One ``draw``/``dispatch`` span pair, stamped ``t0``, covers all chunks:
+    O(iterations) events regardless of chunk count, and one guarded clock
+    read pair per chunk keeps the untraced path at a single bool test.
+    Returns ``(terms, point collisions, chunks)``.
+    """
+    trace = tracer.enabled
+    draw_s = 0.0
+    disp_s = 0.0
+    n_terms = 0
+    n_collisions = 0
+    n_chunks = 0
+    for rng, plans in units:
+        n_chunks += len(plans)
+        for chunk in plans:
+            c0 = tracer.now() if trace else 0.0
+            block = rng.next_double_block(chunk.calls_per_iteration)  # mem-ok: chunk plans are budget-bounded (a worker's by its budget share); the unbudgeted single chunk is the documented opt-in default
+            c1 = tracer.now() if trace else 0.0
+            stats = backend.run_iteration(chunk, coords, block, eta, iteration)
+            if trace:
+                draw_s += c1 - c0
+                disp_s += tracer.now() - c1
+            n_terms += stats.n_terms
+            n_collisions += stats.n_point_collisions
+    if trace:
+        tracer.emit("draw", t0, draw_s, iteration, count=n_chunks)
+        tracer.emit("dispatch", t0, disp_s, iteration, count=n_chunks)
+    return n_terms, n_collisions, n_chunks
+
+
+class StepStats(NamedTuple):
+    """One iteration as an engine's step reports it to the driver."""
+
+    terms: int
+    collisions: int
+    #: Backend dispatches (fused chunks or batches) the iteration took.
+    dispatches: int
+    #: Live workers of a parallel run: the ``iteration`` span's count and
+    #: the progress hook's ``workers``; ``None`` on a single process.
+    workers: Optional[int] = None
+    #: Sampled stress of the iteration's first batch for the history; only
+    #: unfused steps under ``record_history`` probe it.
+    stress: Optional[float] = None
+
+
+@dataclass
+class Session:
+    """An engine's set-up handed to the driver (:meth:`LayoutEngine.session`)."""
+
+    #: ``step(eta, iteration, t_iter)`` advances the run by one iteration;
+    #: ``t_iter`` is the start of the driver's ``iteration`` span.
+    step: Callable[[float, int, float], StepStats]
+    #: Worker count the trace file reports.
+    workers: int
+    #: Per-worker trace streams decoded at tear-down, merged by start time
+    #: into the trace file, and the events their rings dropped.
+    streams: List[List[TraceEvent]] = field(default_factory=list)
+    dropped: int = 0
 
 
 @dataclass
@@ -244,7 +324,13 @@ class LayoutEngine:
 
     # ------------------------------------------------------------------ run
     def run(self, initial: Optional[Layout] = None) -> LayoutResult:
-        """Execute the full layout optimisation and return the result."""
+        """Execute the full layout optimisation and return the result.
+
+        The one iteration loop of every engine: it owns the schedule, the
+        ``update_dispatches``/``point_collisions`` counters, the
+        ``iteration`` span, ``on_progress``, the history, the trace file and
+        the result. The engine's :meth:`session` supplies the rest.
+        """
         # Wall-clock reads route through the obs.clock seam (OBS001): the
         # trace stays stub-able and the contract linter can prove no raw
         # time.* read feeds layout math.
@@ -257,6 +343,71 @@ class LayoutEngine:
             if initial is not None
             else initialize_layout(self.graph, seed=params.seed, data_layout=self.data_layout())
         )
+        history: List[IterationRecord] = []
+        total_terms = 0
+        with self.session(layout) as session:
+            for iteration in range(params.iter_max):
+                eta = float(self.schedule[iteration])
+                t_iter = tracer.now() if trace else 0.0
+                stats = session.step(eta, iteration, t_iter)
+                total_terms += stats.terms
+                self.add_counter("update_dispatches", float(stats.dispatches))
+                self.add_counter("point_collisions", float(stats.collisions))
+                if trace:
+                    tracer.emit("iteration", t_iter, tracer.now() - t_iter,
+                                iteration, count=stats.workers or 1)
+                if self.on_progress is not None:
+                    progress = {
+                        "engine": self.name,
+                        "eta": eta,
+                        "terms": stats.terms,
+                        "collisions": stats.collisions,
+                    }
+                    if stats.workers is not None:
+                        progress["workers"] = stats.workers
+                    self.on_progress(iteration + 1, params.iter_max, progress)
+                if stats.stress is not None:
+                    history.append(IterationRecord(
+                        iteration=iteration,
+                        eta=eta,
+                        sampled_stress=stats.stress,
+                        n_terms=stats.terms,
+                        n_collisions=stats.collisions,
+                    ))
+        if params.trace:
+            # This run owns the trace file (the multilevel driver keeps
+            # ``trace`` out of its level engines' params). Worker streams
+            # merge by start time; the engine's own events keep emission
+            # order.
+            events = (merge_events([tracer.events] + session.streams)
+                      if session.streams else tracer.events)
+            write_trace(params.trace, events, meta={
+                "engine": self.name,
+                "backend": self.backend.name,
+                "iterations": params.iter_max,
+                "workers": session.workers,
+            }, dropped=session.dropped)
+        return LayoutResult(
+            layout=layout,
+            params=params,
+            engine=self.name,
+            iterations=params.iter_max,
+            total_terms=total_terms,
+            history=history,
+            counters=self.metrics.counter_values(),
+            wall_time_s=obs_clock.perf_counter() - t_start,
+            metrics=self.metrics.snapshot(),
+        )
+
+    @contextmanager
+    def session(self, layout: Layout) -> Iterator[Session]:
+        """Set-up, per-iteration step and tear-down of a single-process run.
+
+        The tear-down leaves the final coordinates in ``layout``.
+        """
+        tracer = self.tracer
+        trace = tracer.enabled
+        params = self.params
         # Coordinate state lives in the backend's memory space for the whole
         # run: one upload here, one download at the end (both identities on
         # host backends, where ``coords`` *is* ``layout.coords``).
@@ -274,6 +425,7 @@ class LayoutEngine:
         # path, paper Sec. V-B).
         plan = self.batch_plan(steps_per_iter)
         workspace = self.make_workspace(plan)
+        merge = self.merge_policy()
         # Fused path: the whole iteration — selection, displacement, merge —
         # runs below the backend seam over pre-drawn uniform megablocks
         # (repro.core.fused) instead of a sample/apply_batch round trip per
@@ -283,18 +435,51 @@ class LayoutEngine:
         # chunks dispatched in order, bounding the per-dispatch transient
         # footprint while staying byte-identical on the NumPy backend.
         fused = bool(plan) and self.fused_active()
-        fused_plans: List[FusedIterationPlan] = []
         if fused:
-            fused_plans = build_iteration_plans(
+            units = [(rng, build_iteration_plans(
                 sampler=self.sampler,
                 workspace=workspace,
-                merge=self.merge_policy(),
+                merge=merge,
                 plan=plan,
                 n_streams=rng.n_streams,
                 memory_budget=params.memory_budget,
                 tracer=tracer,
-            )
-            self.max_counter("fused_chunks", float(len(fused_plans)))
+            ))]
+            self.max_counter("fused_chunks", float(len(units[0][1])))
+
+            def step(eta: float, iteration: int, t_iter: float) -> StepStats:
+                return StepStats(*step_units(units, self.backend, coords, eta,
+                                             iteration, tracer, t_iter))
+        else:
+            def step(eta: float, iteration: int, t_iter: float) -> StepStats:
+                n_terms = 0
+                n_collisions = 0
+                stress = 0.0
+                draw_s = 0.0
+                disp_s = 0.0
+                for batch_index, batch_size in enumerate(plan):
+                    c0 = tracer.now() if trace else 0.0
+                    batch = self.draw_batch(rng, batch_size, iteration, batch_index)
+                    batch = self.on_batch(batch, iteration, batch_index)
+                    c1 = tracer.now() if trace else 0.0
+                    stats = apply_batch(coords, batch, eta, merge=merge,
+                                        workspace=workspace)
+                    if trace:
+                        draw_s += c1 - c0
+                        disp_s += tracer.now() - c1
+                    n_collisions += stats.n_point_collisions
+                    n_terms += stats.n_terms
+                    if params.record_history and batch_index == 0:
+                        stress = batch_stress(coords, batch,
+                                              backend=self.backend)
+                if trace:
+                    tracer.emit("draw", t_iter, draw_s, iteration,
+                                count=len(plan))
+                    tracer.emit("dispatch", t_iter, disp_s, iteration,
+                                count=len(plan))
+                return StepStats(n_terms, n_collisions, len(plan),
+                                 stress=stress if params.record_history
+                                 else None)
         self.add_counter("fused_iterations",
                          float(params.iter_max if fused else 0))
         if trace:
@@ -302,114 +487,16 @@ class LayoutEngine:
         # Peak-memory accounting: max RSS always (cheap getrusage read);
         # the tracemalloc delta only when a caller already pays for tracing.
         mem = PeakTracker(trace=None).start()
-        history: List[IterationRecord] = []
-        total_terms = 0
-        for iteration in range(params.iter_max):
-            eta = float(self.schedule[iteration])
-            n_collisions = 0
-            n_terms_iter = 0
-            stress_probe = 0.0
-            probe_count = 0
-            # Per-iteration span aggregates: O(iterations) events regardless
-            # of batch/chunk count — "draw" is sampling (uniform megablocks
-            # fused, draw_batch/on_batch unfused), "dispatch" is the kernel
-            # or apply_batch work. One guarded clock read pair per unit keeps
-            # the disabled path at a single bool test.
-            t_iter = tracer.now() if trace else 0.0
-            draw_s = 0.0
-            disp_s = 0.0
-            if fused:
-                for chunk in fused_plans:
-                    # Sequential per-chunk draws consume exactly the stream
-                    # state one whole-iteration draw would (the bulk draw is
-                    # interchangeable mid-stream), so chunking never moves a
-                    # sampled term.
-                    c0 = tracer.now() if trace else 0.0
-                    block = rng.next_double_block(chunk.calls_per_iteration)  # mem-ok: chunk plans are budget-bounded; the unbudgeted single chunk is the documented opt-in default
-                    c1 = tracer.now() if trace else 0.0
-                    stats = self.backend.run_iteration(chunk, coords, block,
-                                                       eta, iteration)
-                    if trace:
-                        draw_s += c1 - c0
-                        disp_s += tracer.now() - c1
-                    n_collisions += stats.n_point_collisions
-                    n_terms_iter += stats.n_terms
-                self.add_counter("update_dispatches", float(len(fused_plans)))
-                n_units = len(fused_plans)
-            else:
-                for batch_index, batch_size in enumerate(plan):
-                    c0 = tracer.now() if trace else 0.0
-                    batch = self.draw_batch(rng, batch_size, iteration, batch_index)
-                    batch = self.on_batch(batch, iteration, batch_index)
-                    c1 = tracer.now() if trace else 0.0
-                    stats = apply_batch(coords, batch, eta,
-                                        merge=self.merge_policy(),
-                                        workspace=workspace)
-                    if trace:
-                        draw_s += c1 - c0
-                        disp_s += tracer.now() - c1
-                    n_collisions += stats.n_point_collisions
-                    n_terms_iter += stats.n_terms
-                    if params.record_history and batch_index == 0:
-                        stress_probe += batch_stress(coords, batch,
-                                                     backend=self.backend)
-                        probe_count += 1
-                self.add_counter("update_dispatches", float(len(plan)))
-                n_units = len(plan)
-            total_terms += n_terms_iter
-            self.add_counter("point_collisions", float(n_collisions))
-            if trace:
-                tracer.emit("draw", t_iter, draw_s, iteration, count=n_units)
-                tracer.emit("dispatch", t_iter, disp_s, iteration,
-                            count=n_units)
-                tracer.emit("iteration", t_iter, tracer.now() - t_iter,
-                            iteration)
-            if self.on_progress is not None:
-                self.on_progress(iteration + 1, params.iter_max, {
-                    "engine": self.name,
-                    "eta": eta,
-                    "terms": n_terms_iter,
-                    "collisions": n_collisions,
-                })
-            if params.record_history:
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        eta=eta,
-                        sampled_stress=stress_probe / max(probe_count, 1),
-                        n_terms=n_terms_iter,
-                        n_collisions=n_collisions,
-                    )
-                )
+        yield Session(step, workers=params.workers)
         self.backend.synchronize()
         mem.stop()
         for key, value in mem.as_counters().items():
             self.max_counter(key, value)
         t_down = tracer.now() if trace else 0.0
-        result_layout = Layout(self.backend.to_host(coords), self.data_layout())
+        layout.coords = self.backend.to_host(coords)
+        layout.data_layout = self.data_layout()
         if trace:
             tracer.emit("transfer", t_down, tracer.now() - t_down)
-        if params.trace:
-            # Flat single-process run: this engine owns the trace file. The
-            # shm/multilevel drivers keep ``trace`` out of their inner
-            # engines' params and write one merged file themselves.
-            write_trace(params.trace, tracer.events, meta={
-                "engine": self.name,
-                "backend": self.backend.name,
-                "iterations": params.iter_max,
-                "workers": params.workers,
-            })
-        return LayoutResult(
-            layout=result_layout,
-            params=params,
-            engine=self.name,
-            iterations=params.iter_max,
-            total_terms=total_terms,
-            history=history,
-            counters=self.metrics.counter_values(),
-            wall_time_s=obs_clock.perf_counter() - t_start,
-            metrics=self.metrics.snapshot(),
-        )
 
     # -------------------------------------------------------------- helpers
     def merge_policy(self) -> str:
@@ -432,8 +519,3 @@ class LayoutEngine:
         counters :meth:`add_counter` accumulates.
         """
         self.metrics.gauge(key).record_max(float(value))
-
-    @property
-    def _counters(self) -> Dict[str, float]:
-        """Legacy flat counter view over the metrics registry (read-only)."""
-        return self.metrics.counter_values()

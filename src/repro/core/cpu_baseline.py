@@ -40,7 +40,7 @@ from ..prng.xoshiro import Xoshiro256Plus
 from .base import LayoutEngine, LayoutResult, split_into_batches
 from .layout import NodeDataLayout, node_record_addresses
 from .params import LayoutParams
-from .updates import UpdateWorkspace, apply_batch
+from .selection import StepBatch
 
 __all__ = ["CpuBaselineEngine", "SerialReferenceEngine"]
 
@@ -128,27 +128,27 @@ class SerialReferenceEngine(LayoutEngine):
 
     def run_fixed_hop(self, hop: int) -> LayoutResult:
         """Run the degenerate fixed-hop variant (Fig. 6's non-converging layout)."""
-        params = self.params
-        from .layout import initialize_layout  # local import to avoid cycle noise
+        return _FixedHopRun(self, hop).run()
 
-        layout = initialize_layout(self.graph, seed=params.seed)
-        coords = self.backend.from_host(layout.coords)
-        rng = self.make_rng()
-        steps = params.steps_per_iteration(self.graph.total_steps)
-        workspace = UpdateWorkspace(steps, backend=self.backend)
-        total = 0
-        for iteration in range(params.iter_max):
-            eta = float(self.schedule[iteration])
-            batch = self.sampler.sample_fixed_hop(rng, steps, hop)
-            apply_batch(coords, batch, eta, merge=self.merge_policy(),
-                        workspace=workspace)
-            total += len(batch)
-        if coords is not layout.coords:  # device backends: download once
-            layout.coords[...] = self.backend.to_host(coords)
-        return LayoutResult(
-            layout=layout,
-            params=params,
-            engine=f"{self.name}-fixed-hop",
-            iterations=params.iter_max,
-            total_terms=total,
-        )
+
+class _FixedHopRun(SerialReferenceEngine):
+    """A serial engine's run with fixed-hop sampling: per iteration, one
+    batch of the whole step budget drawn by ``sample_fixed_hop``.
+
+    Overriding :meth:`draw_batch` keeps the run on the unfused path.
+    """
+
+    name = f"{SerialReferenceEngine.name}-fixed-hop"
+
+    def __init__(self, engine: SerialReferenceEngine, hop: int):
+        # The run shares the engine's state — graph, sampler, schedule,
+        # metrics, tracer, progress hook — and reports into it as run() does.
+        vars(self).update(vars(engine))
+        self.hop = hop
+
+    def batch_plan(self, steps_per_iteration: int) -> List[int]:
+        return [steps_per_iteration]
+
+    def draw_batch(self, rng: Xoshiro256Plus, batch_size: int, iteration: int,
+                   batch_index: int) -> StepBatch:
+        return self.sampler.sample_fixed_hop(rng, batch_size, self.hop)

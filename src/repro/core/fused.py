@@ -225,12 +225,12 @@ def build_iteration_plans(sampler: PairSampler, workspace: UpdateWorkspace,
     per-chunk caches would collectively re-materialise the whole
     iteration's footprint, defeating the budget.
 
-    Per-iteration usage is one ``rng.next_double_block(chunk.calls_per_iteration)``
-    + ``backend.run_iteration(chunk, ...)`` per chunk, in order. The bulk
-    draw is interchangeable mid-stream (see ``next_double_block``), so the
-    sequential per-chunk draws consume exactly the stream state one
-    whole-iteration draw would have — chunked execution is byte-identical
-    to unchunked on the NumPy backend.
+    Each iteration runs the chunks in order through
+    :func:`repro.core.base.step_units`, one bulk draw and one backend
+    dispatch per chunk. The bulk draw is interchangeable mid-stream (see
+    ``next_double_block``), so the sequential per-chunk draws consume
+    exactly the stream state one whole-iteration draw would have — chunked
+    execution is byte-identical to unchunked on the NumPy backend.
     """
     plan = [int(b) for b in plan]
     spans = chunk_spans(plan, memory_budget)

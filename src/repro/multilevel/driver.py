@@ -44,6 +44,12 @@ __all__ = ["MultilevelDriver", "split_iterations"]
 #: Gaussian y-jitter scale of ``initialize_layout`` (nucleotide units).
 _PROLONG_JITTER = 1.0
 
+#: Level-engine counters the hierarchy reports as sums over its levels.
+_SUMMED_COUNTERS = ("update_dispatches", "fused_iterations",
+                    "point_collisions")
+#: Level-engine counters the hierarchy reports as the maximum over levels.
+_PEAK_COUNTERS = ("peak_rss_bytes", "traced_peak_bytes", "fused_chunks")
+
 
 def split_iterations(total: int, depth: int, split: float) -> List[int]:
     """Split ``total`` iterations across ``depth`` levels, finest first.
@@ -194,7 +200,6 @@ class MultilevelDriver:
             restricted.extend([None] * len(hierarchy.levels))
 
         history: List[IterationRecord] = []
-        counters = {"multilevel_depth": float(hierarchy.depth)}
         self.metrics.gauge("multilevel_depth").set(float(hierarchy.depth))
         total_terms = 0
         total_iterations = 0
@@ -224,12 +229,8 @@ class MultilevelDriver:
                     n_collisions=record.n_collisions,
                 ))
             total_iterations += result.iterations
-            counters[f"level{level}_nodes"] = float(hierarchy.graphs[level].n_nodes)
-            counters[f"level{level}_terms"] = float(result.total_terms)
-            counters[f"level{level}_iterations"] = float(result.iterations)
-            # The same per-level figures as labelled gauges: one metric name
-            # per quantity, the level in the label — the registry-native
-            # shape of the historical ``level{k}_*`` counter keys above.
+            # Per-level figures as labelled gauges: one metric name per
+            # quantity, the level in the label (``level_nodes{level=k}``).
             lvl = str(level)
             self.metrics.gauge("level_nodes", level=lvl).set(
                 float(hierarchy.graphs[level].n_nodes))
@@ -237,14 +238,13 @@ class MultilevelDriver:
                 float(result.total_terms))
             self.metrics.gauge("level_iterations", level=lvl).set(
                 float(result.iterations))
-            # High-water counters carry max semantics across levels: the
-            # hierarchy's peak is its worst level, not the sum of levels.
-            for peak_key in ("peak_rss_bytes", "traced_peak_bytes", "fused_chunks"):
-                if peak_key in result.counters:
-                    counters[peak_key] = max(counters.get(peak_key, 0.0),
-                                             float(result.counters[peak_key]))
-                    self.metrics.gauge(peak_key).record_max(
-                        float(result.counters[peak_key]))
+            # Event counters add up over the levels; high-water counters
+            # carry max semantics: the hierarchy's peak is its worst level.
+            for key in _SUMMED_COUNTERS:
+                self.metrics.counter(key).add(result.counters.get(key, 0.0))
+            for key in _PEAK_COUNTERS:
+                if key in result.counters:
+                    self.metrics.gauge(key).record_max(result.counters[key])
             current = result.layout
             if level > 0:
                 t_pro = tracer.now() if trace else 0.0
@@ -272,7 +272,7 @@ class MultilevelDriver:
             iterations=total_iterations,
             total_terms=total_terms,
             history=history,
-            counters=counters,
+            counters=self.metrics.counter_values(),
             wall_time_s=obs_clock.perf_counter() - t_start,
             metrics=self.metrics.snapshot(),
         )

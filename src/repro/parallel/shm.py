@@ -67,22 +67,24 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.base import LayoutResult
+from ..core.base import LayoutResult, Session, StepStats, Unit, step_units
 from ..core.cpu_baseline import CpuBaselineEngine
 from ..core.fused import build_iteration_plans, chunk_spans, slice_plan
-from ..core.layout import Layout, initialize_layout
+# initialize_layout is no longer called here (the driver in repro.core.base
+# initialises every layout), but perfbench/layers.py patches this name.
+from ..core.layout import Layout, initialize_layout  # noqa: F401
 from ..core.params import LayoutParams
 from ..core.selection import PairSampler, SelectionArrays
 from ..core.updates import UpdateWorkspace
 from ..obs import clock as obs_clock
 from ..obs.ring import RingTracer, TraceRing, ring_capacity, ring_keys, \
     ring_payload
-from ..obs.trace_file import merge_events, write_trace
 from ..obs.tracer import NULL_TRACER
 from ..prng.splitmix import SplitMix64, derive_seed, expand_streams
 from ..prng.xoshiro import Xoshiro256Plus
@@ -263,7 +265,7 @@ def _selection_arrays_payload(arrays: SelectionArrays) -> Dict[str, np.ndarray]:
 
 def _build_unit(plan: List[int], state: np.ndarray, sampler: PairSampler,
                 params: LayoutParams, share: Optional[int], tracer,
-                backend) -> Tuple[Xoshiro256Plus, List]:
+                backend) -> Unit:
     """One execution unit: a generator plus its chunked iteration plans.
 
     A worker starts with a single unit (its contractual sub-plan) and gains
@@ -343,30 +345,10 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
             _, iteration, eta = msg
             if faults:
                 faults.fire(worker_id, iteration)
-            n_terms = 0
-            n_collisions = 0
             t_iter = tracer.now() if trace else 0.0
-            draw_s = 0.0
-            disp_s = 0.0
-            n_chunks = 0
-            for rng, plans in units:
-                n_chunks += len(plans)
-                for chunk in plans:
-                    c0 = tracer.now() if trace else 0.0
-                    block_draws = rng.next_double_block(chunk.calls_per_iteration)  # mem-ok: chunk plans are bounded by the worker's budget share
-                    c1 = tracer.now() if trace else 0.0
-                    stats = backend.run_iteration(chunk, coords, block_draws,
-                                                  eta, iteration)
-                    if trace:
-                        draw_s += c1 - c0
-                        disp_s += tracer.now() - c1
-                    n_terms += stats.n_terms
-                    n_collisions += stats.n_point_collisions
+            n_terms, n_collisions, _ = step_units(units, backend, coords, eta,
+                                                  iteration, tracer, t_iter)
             if trace:
-                tracer.emit("draw", t_iter, draw_s, iteration,
-                            count=n_chunks)
-                tracer.emit("dispatch", t_iter, disp_s, iteration,
-                            count=n_chunks)
                 tracer.emit("iteration", t_iter, tracer.now() - t_iter,
                             iteration)
             conn.send((n_terms, n_collisions))
@@ -380,12 +362,13 @@ class ShmHogwildEngine(CpuBaselineEngine):
 
     Subclasses :class:`CpuBaselineEngine` so the batch plan and the PRNG
     stream count are *exactly* the flat engine's — the parallel engine is a
-    partition of the flat engine's work, not a different workload. The
-    iteration loop is replaced wholesale: per iteration the parent sends the
-    scheduled learning rate to every worker, the workers race their fused
-    sub-plans into the shared buffer, and the parent collects the per-worker
-    term/collision counts. Iteration boundaries are synchronised (the eta
-    schedule must advance globally); stores within an iteration are not.
+    partition of the flat engine's work, not a different workload. Its
+    :meth:`session` replaces the flat set-up and step: per iteration the
+    parent sends the scheduled learning rate to every worker, the workers
+    race their fused sub-plans into the shared buffer, and the parent
+    collects the per-worker term/collision counts. Iteration boundaries are
+    synchronised (the eta schedule must advance globally); stores within an
+    iteration are not.
 
     All worker lifecycle — spawn, barriers, failure handling per
     ``params.on_worker_failure``, teardown escalation — is delegated to
@@ -426,13 +409,18 @@ class ShmHogwildEngine(CpuBaselineEngine):
                 "iteration path the shm workers execute")
 
     # ------------------------------------------------------------- helpers
-    def _worker_setup(self, layout: Layout):
-        """Sub-plans, per-worker PRNG states and the shared block for a run."""
+    def _worker_plans(self) -> Tuple[List[List[int]], List[np.ndarray]]:
+        """Per-worker sub-plans and PRNG states under the seed contract."""
         steps_per_iter = self.params.steps_per_iteration(self.graph.total_steps)
-        plan = self.batch_plan(steps_per_iter)
-        sub_plans = slice_plan(plan, self.params.workers)
+        sub_plans = slice_plan(self.batch_plan(steps_per_iter),
+                               self.params.workers)
         states = worker_stream_states(self.make_rng(), len(sub_plans),
                                       self.params.seed)
+        return sub_plans, states
+
+    def _worker_setup(self, layout: Layout):
+        """Sub-plans, per-worker PRNG states and the shared block for a run."""
+        sub_plans, states = self._worker_plans()
         payload = {"coords": layout.coords}
         payload.update(_selection_arrays_payload(self.sampler.arrays))
         if self.params.trace:
@@ -449,7 +437,7 @@ class ShmHogwildEngine(CpuBaselineEngine):
                 capacity = ring_capacity(max(1, self.params.iter_max),
                                          n_chunks)
                 payload.update(ring_payload(w, capacity))
-        block = SharedArrayBlock.create(payload)  # shm-ok: ownership transfers to run(), whose finally unlinks
+        block = SharedArrayBlock.create(payload)  # shm-ok: ownership transfers to session(), whose finally unlinks
         return sub_plans, states, block
 
     def _make_supervisor(self, block: SharedArrayBlock,
@@ -484,64 +472,51 @@ class ShmHogwildEngine(CpuBaselineEngine):
             backoff_base=self.restart_backoff,
             tracer=self.tracer)
 
-    # ------------------------------------------------------------------ run
-    def run(self, initial: Optional[Layout] = None) -> LayoutResult:
-        t_start = obs_clock.perf_counter()
+    # ------------------------------------------------------------- session
+    @contextmanager
+    def session(self, layout: Layout) -> Iterator[Session]:
+        """Spawn the workers over the shared block, step them through the
+        supervisor's barriers, then stop them and read the block back."""
         tracer = self.tracer
         trace = tracer.enabled
         params = self.params
-        layout = (initial.copy() if initial is not None
-                  else initialize_layout(self.graph, seed=params.seed,
-                                         data_layout=self.data_layout()))
+        t_setup = obs_clock.perf_counter()
         t_sched = tracer.now() if trace else 0.0
         sub_plans, states, block = self._worker_setup(layout)
         n_workers = len(sub_plans)
         supervisor = self._make_supervisor(block, states[0].shape[0])
-        total_terms = 0
-        worker_events: List[List] = []
-        dropped = 0
         try:
             supervisor.start(sub_plans, states)
             total_chunks = supervisor.await_ready()
             self.max_counter("fused_chunks", float(total_chunks))
             t_ready = obs_clock.perf_counter()
-            self.add_counter("parallel_setup_s", t_ready - t_start)
+            self.add_counter("parallel_setup_s", t_ready - t_setup)
             if trace:
                 tracer.emit("schedule", t_sched, tracer.now() - t_sched,
                             count=n_workers)
-            for iteration in range(params.iter_max):
-                eta = float(self.schedule[iteration])
-                t_iter = tracer.now() if trace else 0.0
+
+            def step(eta: float, iteration: int, t_iter: float) -> StepStats:
                 supervisor.send_iter(iteration, eta)
+                n_terms = 0
                 n_collisions = 0
-                n_terms_iter = 0
                 for w, (terms, collisions) in supervisor.collect(iteration):
-                    n_terms_iter += terms
+                    n_terms += terms
                     n_collisions += collisions
                     # Labelled per-worker metrics: the flat counter view
                     # renders these as ``worker_terms{worker=N}``, alongside
                     # the label-free totals the summary() contract pins.
                     self.metrics.counter("worker_terms",
                                          worker=str(w)).add(float(terms))
-                total_terms += n_terms_iter
-                self.add_counter("point_collisions", float(n_collisions))
                 # Dispatches per iteration track the *live* decomposition —
                 # the figure shrinks and re-grows as degradation re-slices.
-                self.add_counter("update_dispatches",
-                                 float(supervisor.total_chunks()))
-                if trace:
-                    # The parent's iteration span covers the barrier-to-
-                    # barrier wall time; per-worker spans live in the rings.
-                    tracer.emit("iteration", t_iter, tracer.now() - t_iter,
-                                iteration, count=supervisor.live_count())
-                if self.on_progress is not None:
-                    self.on_progress(iteration + 1, params.iter_max, {
-                        "engine": self.name,
-                        "eta": eta,
-                        "terms": n_terms_iter,
-                        "collisions": n_collisions,
-                        "workers": supervisor.live_count(),
-                    })
+                # The parent's iteration span covers the barrier-to-barrier
+                # wall time; per-worker spans live in the rings.
+                return StepStats(n_terms, n_collisions,
+                                 supervisor.total_chunks(),
+                                 workers=supervisor.live_count())
+
+            session = Session(step, workers=n_workers)
+            yield session
             self.add_counter("parallel_iterate_s",
                              obs_clock.perf_counter() - t_ready)
             # Graceful stop inside the try: workers must have joined before
@@ -555,10 +530,10 @@ class ShmHogwildEngine(CpuBaselineEngine):
                 for w in range(n_workers):
                     buf_key, ctl_key = ring_keys(w)
                     ring = TraceRing(block.view(buf_key), block.view(ctl_key))
-                    worker_events.append(
+                    session.streams.append(
                         ring.events(labels=dict(tracer.labels,
                                                 worker=str(w))))
-                    dropped += ring.dropped
+                    session.dropped += ring.dropped
                     self.metrics.counter("trace_events", worker=str(w)).add(
                         float(ring.written))
         finally:
@@ -582,28 +557,6 @@ class ShmHogwildEngine(CpuBaselineEngine):
             if supervisor.degraded:
                 self.add_counter("degraded", 1.0)
         self.add_counter("fused_iterations", float(params.iter_max))
-        if params.trace:
-            # One merged, ordered trace: the parent's own spans interleaved
-            # with every worker's ring stream (t0-sorted, stable).
-            write_trace(params.trace,
-                        merge_events([tracer.events] + worker_events),
-                        meta={
-                            "engine": self.name,
-                            "backend": self.backend.name,
-                            "iterations": params.iter_max,
-                            "workers": n_workers,
-                        },
-                        dropped=dropped)
-        return LayoutResult(
-            layout=layout,
-            params=params,
-            engine=self.name,
-            iterations=params.iter_max,
-            total_terms=total_terms,
-            counters=self.metrics.counter_values(),
-            wall_time_s=obs_clock.perf_counter() - t_start,
-            metrics=self.metrics.snapshot(),
-        )
 
     # ------------------------------------------------------------- inline
     def run_inline(self, initial: Optional[Layout] = None) -> LayoutResult:
@@ -617,21 +570,28 @@ class ShmHogwildEngine(CpuBaselineEngine):
         inheriting scheduler noise; it is also the natural fallback on
         single-core boxes.
         """
-        t_start = obs_clock.perf_counter()
+        return _InlineRun(self).run(initial)
+
+
+class _InlineRun(ShmHogwildEngine):
+    """A shm engine's run with its worker units stepped in this process."""
+
+    name = f"{ShmHogwildEngine.name}-inline"
+
+    def __init__(self, engine: ShmHogwildEngine):
+        # The run shares the engine's state — graph, sampler, schedule,
+        # metrics, tracer, progress hook — and reports into it as run() does.
+        vars(self).update(vars(engine))
+
+    @contextmanager
+    def session(self, layout: Layout) -> Iterator[Session]:
+        """One unit per worker, all stepped in worker order in this process."""
         tracer = self.tracer
         trace = tracer.enabled
         params = self.params
-        layout = (initial.copy() if initial is not None
-                  else initialize_layout(self.graph, seed=params.seed,
-                                         data_layout=self.data_layout()))
         t_sched = tracer.now() if trace else 0.0
-        steps_per_iter = params.steps_per_iteration(self.graph.total_steps)
-        plan = self.batch_plan(steps_per_iter)
-        sub_plans = slice_plan(plan, params.workers)
-        states = worker_stream_states(self.make_rng(), len(sub_plans),
-                                      params.seed)
+        sub_plans, states = self._worker_plans()
         coords = self.backend.from_host(layout.coords)
-        rngs = [Xoshiro256Plus(state) for state in states]
         # Per-worker tracer views share the parent's event list but carry a
         # ``worker=N`` label — the inline analogue of the process path's
         # per-worker rings, same labelled stream, no merge step needed.
@@ -639,80 +599,31 @@ class ShmHogwildEngine(CpuBaselineEngine):
         # Same decomposition the worker processes build: each worker's
         # sub-plan chunked under its share of the run's memory budget.
         share = budget_share(params.memory_budget, params.workers)
-        worker_plans = [
-            build_iteration_plans(sampler=self.sampler,
-                                  workspace=UpdateWorkspace(max(sub_plan),
-                                                            backend=self.backend),
-                                  merge=params.merge_policy, plan=sub_plan,
-                                  n_streams=rng.n_streams, memory_budget=share,
-                                  tracer=wtracer)
-            for sub_plan, rng, wtracer in zip(sub_plans, rngs, wtracers)
-        ]
-        total_chunks = sum(len(plans) for plans in worker_plans)
+        units = [_build_unit(sub_plan, state, self.sampler, params, share,
+                             wtracer, self.backend)
+                 for sub_plan, state, wtracer in zip(sub_plans, states,
+                                                     wtracers)]
+        total_chunks = sum(len(plans) for _, plans in units)
         self.max_counter("fused_chunks", float(total_chunks))
         if trace:
             tracer.emit("schedule", t_sched, tracer.now() - t_sched,
                         count=len(sub_plans))
-        total_terms = 0
-        for iteration in range(params.iter_max):
-            eta = float(self.schedule[iteration])
+
+        def step(eta: float, iteration: int, t_iter: float) -> StepStats:
+            n_terms = 0
             n_collisions = 0
-            n_terms_iter = 0
-            t_iter = tracer.now() if trace else 0.0
-            for w, (rng, plans) in enumerate(zip(rngs, worker_plans)):
-                wtracer = wtracers[w]
-                t_w = wtracer.now() if trace else 0.0
-                draw_s = 0.0
-                disp_s = 0.0
-                for chunk in plans:
-                    c0 = wtracer.now() if trace else 0.0
-                    block = rng.next_double_block(chunk.calls_per_iteration)  # mem-ok: chunk plans are bounded by the worker's budget share
-                    c1 = wtracer.now() if trace else 0.0
-                    stats = self.backend.run_iteration(chunk, coords, block,
-                                                       eta, iteration)
-                    if trace:
-                        draw_s += c1 - c0
-                        disp_s += wtracer.now() - c1
-                    n_terms_iter += stats.n_terms
-                    n_collisions += stats.n_point_collisions
-                if trace:
-                    wtracer.emit("draw", t_w, draw_s, iteration,
-                                 count=len(plans))
-                    wtracer.emit("dispatch", t_w, disp_s, iteration,
-                                 count=len(plans))
-            total_terms += n_terms_iter
-            self.add_counter("point_collisions", float(n_collisions))
-            self.add_counter("update_dispatches", float(total_chunks))
-            if trace:
-                tracer.emit("iteration", t_iter, tracer.now() - t_iter,
-                            iteration, count=len(sub_plans))
-            if self.on_progress is not None:
-                self.on_progress(iteration + 1, params.iter_max, {
-                    "engine": f"{self.name}-inline",
-                    "eta": eta,
-                    "terms": n_terms_iter,
-                    "collisions": n_collisions,
-                    "workers": len(sub_plans),
-                })
+            for unit, wtracer in zip(units, wtracers):
+                terms, collisions, _ = step_units(
+                    [unit], self.backend, coords, eta, iteration, wtracer,
+                    wtracer.now() if trace else 0.0)
+                n_terms += terms
+                n_collisions += collisions
+            return StepStats(n_terms, n_collisions, total_chunks,
+                             workers=len(units))
+
+        yield Session(step, workers=len(sub_plans))
         self.add_counter("fused_iterations", float(params.iter_max))
         self.add_counter("effective_workers", float(len(sub_plans)))
-        if params.trace:
-            write_trace(params.trace, tracer.events, meta={
-                "engine": f"{self.name}-inline",
-                "backend": self.backend.name,
-                "iterations": params.iter_max,
-                "workers": len(sub_plans),
-            })
-        return LayoutResult(
-            layout=layout,
-            params=params,
-            engine=f"{self.name}-inline",
-            iterations=params.iter_max,
-            total_terms=total_terms,
-            counters=self.metrics.counter_values(),
-            wall_time_s=obs_clock.perf_counter() - t_start,
-            metrics=self.metrics.snapshot(),
-        )
 
 
 def run_workers_inline(graph, params: Optional[LayoutParams] = None,

@@ -250,6 +250,45 @@ class TestAlloc001PerIterationFunctions:
         assert report.suppressed_by_pragma == 1
 
 
+class TestAlloc001ChunkStep:
+    """The one chunk loop and every engine's per-iteration step are
+    whole-body scanned wherever they live in a hot-path directory."""
+
+    CHUNK_STEP = (
+        "def step_units(units, backend, coords, eta, iteration):\n"
+        "    for rng, plans in units:\n"
+        "        for chunk in plans:\n"
+        "            block = rng.next_double_block(chunk.calls)\n"
+        "            backend.run_iteration(chunk, coords, block, eta,"
+        " iteration)\n"
+    )
+
+    def test_allocation_in_chunk_step_flagged(self, tmp_path):
+        text = self.CHUNK_STEP.replace("next_double_block(chunk.calls)",
+                                       "next_double_block(chunk.calls).copy()")
+        found = findings_for(tmp_path, {"core/base.py": text},
+                             rule="ALLOC001")
+        assert len(found) == 1
+        assert found[0].line == 4
+        assert "per-iteration function 'step_units'" in found[0].message
+
+    def test_allocation_free_chunk_step_clean(self, tmp_path):
+        found = findings_for(tmp_path, {"core/base.py": self.CHUNK_STEP},
+                             rule="ALLOC001")
+        assert found == []
+
+    def test_allocation_in_engine_step_flagged(self, tmp_path):
+        found = findings_for(tmp_path, {"parallel/engine.py": (
+            "import numpy as np\n"
+            "def session(layout):\n"
+            "    def step(eta, iteration, t_iter):\n"
+            "        return np.zeros(4)\n"
+            "    yield step\n"
+        )}, rule="ALLOC001")
+        assert len(found) == 1
+        assert found[0].line == 4
+
+
 class TestMem001:
     ITER_SCALE_ALLOC = (
         "import numpy as np\n"

@@ -328,7 +328,7 @@ class TestPeakAccounting:
         engine.max_counter("hw", 5.0)
         engine.max_counter("hw", 3.0)
         engine.max_counter("hw", 9.0)
-        assert engine._counters["hw"] == 9.0
+        assert engine.metrics.counter_values()["hw"] == 9.0
 
 
 # --------------------------------------------------------------------------

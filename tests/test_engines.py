@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.layout import Layout, NodeDataLayout
 from repro.metrics import sampled_path_stress
+from repro.parallel.shm import run_workers_inline
 
 
 def _scrambled_layout(graph, seed=0, span=1000.0):
@@ -246,3 +247,40 @@ class TestBatchedEngine:
         engine = BatchedLayoutEngine(small_synthetic, params)
         plan = engine.batch_plan(250)
         assert plan == [100, 100, 50]
+
+
+#: Every runner, keyed by the case id: each returns a LayoutResult.
+RUNNERS = {
+    "cpu": lambda g, p: layout_graph(g, engine="cpu", params=p),
+    "batch": lambda g, p: layout_graph(g, engine="batch", params=p),
+    "gpu": lambda g, p: layout_graph(g, engine="gpu", params=p),
+    "workers2": lambda g, p: layout_graph(g, params=p, workers=2),
+    "levels3": lambda g, p: layout_graph(g, params=p, levels=3),
+    "inline2": lambda g, p: run_workers_inline(g, p.with_(workers=2)),
+    "fixedhop": lambda g, p: SerialReferenceEngine(g, p).run_fixed_hop(hop=10),
+}
+
+
+class TestEveryRunnerReportsItsWork:
+    """Each runner's summary counts the work it did: dispatches, collisions
+    and wall time. (The serial engine is left out: its one-term segments
+    cannot collide.)"""
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_summary_reports_dispatches_collisions_and_time(
+            self, small_synthetic, fast_params, runner):
+        summary = RUNNERS[runner](small_synthetic, fast_params).summary()
+        assert summary["update_dispatches"] >= summary["iterations"]
+        assert summary["point_collisions"] > 0
+        assert summary["wall_time_s"] > 0
+
+    def test_multilevel_sums_its_levels(self, small_synthetic, fast_params):
+        result = layout_graph(small_synthetic, params=fast_params, levels=3)
+        summary = result.summary()
+        levels = [v for k, v in result.counters.items()
+                  if k.startswith("level_iterations{")]
+        assert len(levels) == 3
+        assert sum(levels) == summary["iterations"]
+        # One fused dispatch per iteration on every level.
+        assert summary["update_dispatches"] == summary["iterations"]
+        assert summary["fused_iterations"] == summary["iterations"]
