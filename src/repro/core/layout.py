@@ -144,9 +144,11 @@ def initialize_layout(
     first_pos = np.full(n, -1.0, dtype=np.float64)
     nodes = graph.step_nodes
     positions = graph.step_positions.astype(np.float64)
-    # np.unique returns the first-occurrence index of each node present.
-    uniq, first_idx = np.unique(nodes, return_index=True)
-    first_pos[uniq] = positions[first_idx]
+    # First occurrence of each node: the smallest step index naming it.
+    first_idx = np.full(n, nodes.size, dtype=np.int64)
+    np.minimum.at(first_idx, nodes, np.arange(nodes.size))
+    present = first_idx < nodes.size
+    first_pos[present] = positions[first_idx[present]]
     # Path-less nodes go past the furthest on-path *extent* (step position plus
     # that node's length), not the furthest step start — otherwise the first
     # appended node can overlap the final on-path node's segment.

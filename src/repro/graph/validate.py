@@ -64,8 +64,7 @@ def validate_lean(graph: LeanGraph) -> ValidationReport:
             report.errors.append(f"path {graph.path_names[p]!r}: first step position is not 0")
     # Orphan nodes are legal but worth flagging: they get no layout forces.
     visited = np.zeros(graph.n_nodes, dtype=bool)
-    if graph.total_steps:
-        visited[np.unique(graph.step_nodes)] = True
+    visited[graph.step_nodes] = True
     orphans = int((~visited).sum())
     if orphans:
         report.warnings.append(f"{orphans} node(s) are not visited by any path")

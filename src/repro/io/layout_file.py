@@ -76,12 +76,12 @@ def read_lay(source: Union[str, os.PathLike, io.BufferedIOBase]) -> Layout:
 
 def write_tsv(layout: Layout, destination: Union[str, os.PathLike, TextIO]) -> None:
     """Write a human-readable TSV (node_id, start_x, start_y, end_x, end_y)."""
-    lines = ["#node_id\tstart_x\tstart_y\tend_x\tend_y"]
     coords = layout.coords
-    for node in range(layout.n_nodes):
-        sx, sy = coords[2 * node]
-        ex, ey = coords[2 * node + 1]
-        lines.append(f"{node}\t{sx:.6f}\t{sy:.6f}\t{ex:.6f}\t{ey:.6f}")
+    columns = (coords[0::2, 0].tolist(), coords[0::2, 1].tolist(),
+               coords[1::2, 0].tolist(), coords[1::2, 1].tolist())
+    lines = ["#node_id\tstart_x\tstart_y\tend_x\tend_y"]
+    lines.extend(f"{node}\t{sx:.6f}\t{sy:.6f}\t{ex:.6f}\t{ey:.6f}"
+                 for node, (sx, sy, ex, ey) in enumerate(zip(*columns)))
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)  # type: ignore[union-attr]

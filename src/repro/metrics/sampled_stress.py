@@ -71,7 +71,9 @@ def sampled_path_stress(
     if total_requested > max_total_samples:
         scale = max_total_samples / total_requested
         per_path = np.maximum((per_path * scale).astype(np.int64), np.where(eligible, 1, 0))
-    all_terms = []
+    n = int(per_path.sum())
+    terms = np.empty(n, dtype=np.float64)
+    filled = 0
     offsets = graph.path_offsets
     for p in range(graph.n_paths):
         n_samples = int(per_path[p])
@@ -85,10 +87,9 @@ def sampled_path_stress(
         same = local_i == local_j
         if np.any(same):
             local_j[same] = rng.integers(0, count, size=int(same.sum()))
-        terms = pair_stress_terms(layout, graph, start + local_i, start + local_j)
-        all_terms.append(terms)
-    terms = np.concatenate(all_terms)
-    n = terms.size
+        terms[filled:filled + n_samples] = pair_stress_terms(
+            layout, graph, start + local_i, start + local_j)
+        filled += n_samples
     mu = float(terms.mean())
     sigma = float(terms.std(ddof=1)) if n > 1 else 0.0
     half = 1.96 * sigma / np.sqrt(n) if n > 0 else 0.0

@@ -31,6 +31,12 @@ from ..graph.lean import LeanGraph
 __all__ = ["pair_stress_terms", "path_stress", "count_path_pairs"]
 
 
+#: Pairs evaluated per block: a block's float64 temporaries stay in the
+#: L2 cache, which makes the gathers and the arithmetic faster than one
+#: pass over a whole path's pairs.
+_BLOCK_PAIRS = 8192
+
+
 def pair_stress_terms(
     layout: Layout,
     graph: LeanGraph,
@@ -45,22 +51,34 @@ def pair_stress_terms(
     """
     flat_i = np.asarray(flat_i, dtype=np.int64)
     flat_j = np.asarray(flat_j, dtype=np.int64)
-    node_i = graph.step_nodes[flat_i]
-    node_j = graph.step_nodes[flat_j]
+    x = np.ascontiguousarray(layout.coords[:, 0])
+    y = np.ascontiguousarray(layout.coords[:, 1])
+    terms = np.empty(flat_i.size, dtype=np.float64)
+    for start in range(0, flat_i.size, _BLOCK_PAIRS):
+        block = slice(start, start + _BLOCK_PAIRS)
+        terms[block] = _block_terms(x, y, graph, flat_i[block], flat_j[block])
+    return terms
+
+
+def _block_terms(x: np.ndarray, y: np.ndarray, graph: LeanGraph,
+                 flat_i: np.ndarray, flat_j: np.ndarray) -> np.ndarray:
+    """:func:`pair_stress_terms` of one block, from the X and Y columns."""
+    point_i = 2 * np.take(graph.step_nodes, flat_i)
+    point_j = 2 * np.take(graph.step_nodes, flat_j)
     d_ref = np.abs(
-        graph.step_positions[flat_i] - graph.step_positions[flat_j]
+        np.take(graph.step_positions, flat_i) - np.take(graph.step_positions, flat_j)
     ).astype(np.float64)
     valid = d_ref > 0
     d_safe = np.where(valid, d_ref, 1.0)
-    coords = layout.coords
     total = np.zeros(flat_i.size, dtype=np.float64)
     # Average over the four endpoint combinations (paper's definition).
     for ei in (0, 1):
+        xi = np.take(x, point_i + ei)
+        yi = np.take(y, point_i + ei)
         for ej in (0, 1):
-            vi = coords[2 * node_i + ei]
-            vj = coords[2 * node_j + ej]
-            diff = vi - vj
-            mag = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            dx = xi - np.take(x, point_j + ej)
+            dy = yi - np.take(y, point_j + ej)
+            mag = np.sqrt(dx * dx + dy * dy)
             total += ((mag - d_safe) / d_safe) ** 2
     terms = total / 4.0
     return np.where(valid, terms, 0.0)

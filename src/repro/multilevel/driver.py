@@ -44,12 +44,6 @@ __all__ = ["MultilevelDriver", "split_iterations"]
 #: Gaussian y-jitter scale of ``initialize_layout`` (nucleotide units).
 _PROLONG_JITTER = 1.0
 
-#: Level-engine counters the hierarchy reports as sums over its levels.
-_SUMMED_COUNTERS = ("update_dispatches", "fused_iterations",
-                    "point_collisions")
-#: Level-engine counters the hierarchy reports as the maximum over levels.
-_PEAK_COUNTERS = ("peak_rss_bytes", "traced_peak_bytes", "fused_chunks")
-
 
 def split_iterations(total: int, depth: int, split: float) -> List[int]:
     """Split ``total`` iterations across ``depth`` levels, finest first.
@@ -238,13 +232,18 @@ class MultilevelDriver:
                 float(result.total_terms))
             self.metrics.gauge("level_iterations", level=lvl).set(
                 float(result.iterations))
-            # Event counters add up over the levels; high-water counters
-            # carry max semantics: the hierarchy's peak is its worst level.
-            for key in _SUMMED_COUNTERS:
-                self.metrics.counter(key).add(result.counters.get(key, 0.0))
-            for key in _PEAK_COUNTERS:
-                if key in result.counters:
-                    self.metrics.gauge(key).record_max(result.counters[key])
+            # Every level-engine metric carries over under its own labels:
+            # counters add up over the levels, gauges keep their maximum
+            # (the hierarchy's peak is its worst level).
+            engine_labels = set(engine.metrics.labels.items())
+            for entry in result.metrics.entries:
+                labels = {k: v for k, v in entry.labels
+                          if (k, v) not in engine_labels}
+                if entry.kind == "counter":
+                    self.metrics.counter(entry.name, **labels).add(entry.value)
+                elif entry.kind == "gauge":
+                    self.metrics.gauge(entry.name, **labels).record_max(
+                        entry.value)
             current = result.layout
             if level > 0:
                 t_pro = tracer.now() if trace else 0.0

@@ -27,11 +27,10 @@ _PALETTE = [
 def _node_path_multiplicity(graph: LeanGraph) -> np.ndarray:
     """Number of distinct paths visiting each node (for colouring)."""
     counts = np.zeros(graph.n_nodes, dtype=np.int64)
-    offsets = graph.path_offsets
     for p in range(graph.n_paths):
-        sl = graph.path_steps(p)
-        nodes = np.unique(graph.step_nodes[sl])
-        counts[nodes] += 1
+        # A node a path visits twice is still one path: repeated indices
+        # of one fancy-indexed ``+=`` all store the same incremented value.
+        counts[graph.step_nodes[graph.path_steps(p)]] += 1
     return counts
 
 
@@ -68,38 +67,34 @@ def render_svg(
         scales.append((height - 2 * margin) / span_y)
     scale = min(scales) if scales else 0.0
 
-    def tx(x: float) -> float:
-        return margin + (x - min_x) * scale
-
-    def ty(y: float) -> float:
-        return margin + (y - min_y) * scale
-
     if graph is not None and color_by_multiplicity:
         multiplicity = _node_path_multiplicity(graph)
+        if multiplicity.size < layout.n_nodes:
+            raise ValueError(
+                f"graph has {multiplicity.size} nodes, layout has {layout.n_nodes}")
         max_mult = max(int(multiplicity.max()), 1)
+        # Shared nodes -> dark blue; rarer nodes -> warmer palette colours.
+        rarity = 1.0 - (multiplicity[:layout.n_nodes] / max_mult)
+        last = len(_PALETTE) - 1
+        shade = np.minimum((rarity * last).astype(np.int64), last)
+        colors = [_PALETTE[k] for k in shade.tolist()]
     else:
-        multiplicity = None
-        max_mult = 1
+        colors = [_PALETTE[0]] * layout.n_nodes
 
+    xs = (margin + (coords[:, 0] - min_x) * scale).tolist()
+    ys = (margin + (coords[:, 1] - min_y) * scale).tolist()
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    n_nodes = layout.n_nodes
-    for node in range(n_nodes):
-        sx, sy = coords[2 * node]
-        ex, ey = coords[2 * node + 1]
-        if multiplicity is not None:
-            # Shared nodes -> dark blue; rarer nodes -> warmer palette colours.
-            rarity = 1.0 - (multiplicity[node] / max_mult)
-            color = _PALETTE[min(int(rarity * (len(_PALETTE) - 1)), len(_PALETTE) - 1)]
-        else:
-            color = _PALETTE[0]
-        lines.append(
-            f'<line x1="{tx(sx):.2f}" y1="{ty(sy):.2f}" x2="{tx(ex):.2f}" y2="{ty(ey):.2f}" '
-            f'stroke="{color}" stroke-width="{stroke_width}" stroke-linecap="round"/>'
-        )
+    tail = f'" stroke-width="{stroke_width}" stroke-linecap="round"/>'
+    lines.extend(
+        f'<line x1="{sx:.2f}" y1="{sy:.2f}" x2="{ex:.2f}" y2="{ey:.2f}" '
+        f'stroke="{color}{tail}'
+        for sx, sy, ex, ey, color in zip(xs[0::2], ys[0::2], xs[1::2], ys[1::2],
+                                         colors)
+    )
     lines.append("</svg>")
     return "\n".join(lines)
 

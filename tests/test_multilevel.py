@@ -298,6 +298,36 @@ class TestMultilevelDriver:
         # Coarse levels take the hot etas, the finest the cool tail.
         assert slices[-1][0] >= slices[0][-1]
 
+    def test_every_level_engine_metric_carries_over(self, small_synthetic,
+                                                    monkeypatch):
+        driver = MultilevelDriver(small_synthetic, FAST.with_(levels=3),
+                                  engine="batch")
+        levels = []
+        make_level_engine = driver._make_level_engine
+
+        def recording(*args):
+            engine = make_level_engine(*args)
+            run = engine.run
+
+            def run_and_record(initial=None):
+                levels.append(run(initial))
+                return levels[-1]
+
+            monkeypatch.setattr(engine, "run", run_and_record)
+            return engine
+
+        monkeypatch.setattr(driver, "_make_level_engine", recording)
+        result = driver.run()
+        assert len(levels) == 3
+        # Counters add up over the levels, gauges keep the worst level.
+        launches = [r.counters["kernel_launches"] for r in levels]
+        assert min(launches) > 0
+        assert result.counters["kernel_launches"] == sum(launches)
+        assert result.counters["update_dispatches"] == sum(
+            r.counters["update_dispatches"] for r in levels)
+        assert result.counters["peak_rss_bytes"] == max(
+            r.counters["peak_rss_bytes"] for r in levels)
+
     def test_history_concatenated_across_levels(self, small_synthetic):
         params = FAST.with_(levels=2, record_history=True)
         result = MultilevelDriver(small_synthetic, params, engine="cpu").run()
