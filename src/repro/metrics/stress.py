@@ -31,12 +31,6 @@ from ..graph.lean import LeanGraph
 __all__ = ["pair_stress_terms", "path_stress", "count_path_pairs"]
 
 
-#: Pairs evaluated per block: a block's float64 temporaries stay in the
-#: L2 cache, which makes the gathers and the arithmetic faster than one
-#: pass over a whole path's pairs.
-_BLOCK_PAIRS = 8192
-
-
 def pair_stress_terms(
     layout: Layout,
     graph: LeanGraph,
@@ -51,20 +45,11 @@ def pair_stress_terms(
     """
     flat_i = np.asarray(flat_i, dtype=np.int64)
     flat_j = np.asarray(flat_j, dtype=np.int64)
-    x = np.ascontiguousarray(layout.coords[:, 0])
-    y = np.ascontiguousarray(layout.coords[:, 1])
-    terms = np.empty(flat_i.size, dtype=np.float64)
-    for start in range(0, flat_i.size, _BLOCK_PAIRS):
-        block = slice(start, start + _BLOCK_PAIRS)
-        terms[block] = _block_terms(x, y, graph, flat_i[block], flat_j[block])
-    return terms
-
-
-def _block_terms(x: np.ndarray, y: np.ndarray, graph: LeanGraph,
-                 flat_i: np.ndarray, flat_j: np.ndarray) -> np.ndarray:
-    """:func:`pair_stress_terms` of one block, from the X and Y columns."""
-    point_i = 2 * np.take(graph.step_nodes, flat_i)
-    point_j = 2 * np.take(graph.step_nodes, flat_j)
+    # The (2·n_nodes, 2) coordinates viewed flat: endpoint e of node v has
+    # its X at element 4v + 2e and its Y at element 4v + 2e + 1.
+    flat = layout.coords.reshape(-1)
+    base_i = 4 * np.take(graph.step_nodes, flat_i)
+    base_j = 4 * np.take(graph.step_nodes, flat_j)
     d_ref = np.abs(
         np.take(graph.step_positions, flat_i) - np.take(graph.step_positions, flat_j)
     ).astype(np.float64)
@@ -73,11 +58,11 @@ def _block_terms(x: np.ndarray, y: np.ndarray, graph: LeanGraph,
     total = np.zeros(flat_i.size, dtype=np.float64)
     # Average over the four endpoint combinations (paper's definition).
     for ei in (0, 1):
-        xi = np.take(x, point_i + ei)
-        yi = np.take(y, point_i + ei)
+        xi = np.take(flat, base_i + 2 * ei)
+        yi = np.take(flat, base_i + 2 * ei + 1)
         for ej in (0, 1):
-            dx = xi - np.take(x, point_j + ej)
-            dy = yi - np.take(y, point_j + ej)
+            dx = xi - np.take(flat, base_j + 2 * ej)
+            dy = yi - np.take(flat, base_j + 2 * ej + 1)
             mag = np.sqrt(dx * dx + dy * dy)
             total += ((mag - d_safe) / d_safe) ** 2
     terms = total / 4.0

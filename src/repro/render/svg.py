@@ -88,10 +88,9 @@ def render_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    tail = f'" stroke-width="{stroke_width}" stroke-linecap="round"/>'
     lines.extend(
         f'<line x1="{sx:.2f}" y1="{sy:.2f}" x2="{ex:.2f}" y2="{ey:.2f}" '
-        f'stroke="{color}{tail}'
+        f'stroke="{color}" stroke-width="{stroke_width}" stroke-linecap="round"/>'
         for sx, sy, ex, ey, color in zip(xs[0::2], ys[0::2], xs[1::2], ys[1::2],
                                          colors)
     )

@@ -1,7 +1,7 @@
 """Test oracle: the output layer as one scalar step per node or endpoint.
 
-The package computes path-stress terms from contiguous X/Y columns and
-formats the SVG and TSV documents from whole coordinate arrays. This module
+The package computes path-stress terms with 1-D gathers from a flat view
+of the coordinates and formats the SVG and TSV documents from whole coordinate arrays. This module
 keeps the earlier per-row form on plain NumPy as the reference those are
 checked against, byte for byte:
 
