@@ -16,7 +16,8 @@ gated):
 Measured wall-clock metrics (``"deterministic": false`` with a time unit,
 see :data:`WALL_TIME_UNITS`) are gated like any other tracked metric **when
 the two documents come from the same timing environment** (same
-platform/machine/interpreter). When the environments differ — e.g. a
+platform/machine/interpreter, the interpreter compared by the file its path
+resolves to). When the environments differ — e.g. a
 baseline produced on a developer machine compared on a CI runner — a raw
 wall-time regression beyond threshold is downgraded to ``warn`` with a
 note, because absolute wall times are not comparable across machines;
@@ -30,6 +31,7 @@ The exit code contract the CI gate relies on: 0 when nothing failed,
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
@@ -46,6 +48,9 @@ __all__ = [
 
 #: Relative change below which a difference is reported as plain ``ok``.
 NOISE_BAND = 1e-12
+
+#: Environment fields that must agree for wall times to be comparable.
+TIMING_KEYS = ("platform", "machine", "executable", "python")
 
 #: Units marking a metric as an *absolute* wall-clock duration. Only these
 #: are eligible for the cross-environment fail→warn downgrade; measured but
@@ -155,6 +160,16 @@ def _classify(direction: str, old: float, new: float, max_regress: float) -> str
     return "fail" if worsening > max_regress else "warn"
 
 
+def _timing_environment(doc: Mapping) -> Dict[str, object]:
+    """The document's :data:`TIMING_KEYS`, with the interpreter path
+    resolved: ``.../bin/python`` and ``.../bin/python3`` are often links to
+    one file, and so one timing environment."""
+    env = {key: doc["environment"].get(key) for key in TIMING_KEYS}
+    if env["executable"]:
+        env["executable"] = os.path.realpath(env["executable"])
+    return env
+
+
 def compare_documents(
     old_doc: Mapping,
     new_doc: Mapping,
@@ -168,11 +183,8 @@ def compare_documents(
 
     # Wall-clock metrics are only hard-gated between runs of the same timing
     # environment; across machines the threshold degrades to a warning.
-    timing_keys = ("platform", "machine", "executable", "python")
-    same_timing_env = all(
-        old_doc["environment"].get(key) == new_doc["environment"].get(key)
-        for key in timing_keys
-    )
+    old_timing, new_timing = _timing_environment(old_doc), _timing_environment(new_doc)
+    differing = [key for key in TIMING_KEYS if old_timing[key] != new_timing[key]]
     timing_downgrades = 0
 
     for env_key in ("python", "numpy"):
@@ -211,7 +223,7 @@ def compare_documents(
                      and new_metric.get("deterministic", True))
                 and old_metric.get("unit") in WALL_TIME_UNITS
             )
-            if status == "fail" and wall_clock and not same_timing_env:
+            if status == "fail" and wall_clock and differing:
                 status = "warn"
                 timing_downgrades += 1
             report.deltas.append(MetricDelta(
@@ -240,7 +252,7 @@ def compare_documents(
         report.notes.append(
             f"{timing_downgrades} wall-clock metric(s) regressed beyond threshold "
             "but the documents come from different timing environments "
-            f"(differing {', '.join(k for k in timing_keys if old_doc['environment'].get(k) != new_doc['environment'].get(k))}); "
+            f"(differing {', '.join(differing)}); "
             "downgraded to warn — regenerate the baseline on this machine to re-arm the gate"
         )
     return report

@@ -19,19 +19,26 @@ Segment names may be arbitrary strings; they are mapped to dense integer node
 ids in input order, and the mapping is preserved on round-trip so layouts can
 be joined back to the original names.
 
-Path steps are read per line, never per step: the step field is split once
-into segment names, its orientation marks are read from the line's bytes,
-and the names are mapped to node ids in one dictionary pass into an int64
-column. Each path is stored as that id column plus a bool orientation
-column, which is what :meth:`LeanGraph.from_variation_graph` concatenates.
+Records become columns, not objects: an ``S`` line appends its name, its
+length and any sequence it has; an ``L`` line appends its names,
+orientations and line number and how many segments had been declared by
+then, and all links are resolved in one dictionary pass after the last
+line. A ``P`` line is mapped to node ids as a whole: while every segment
+name is at most 8 UTF-8 bytes, the names are packed into sorted big-endian
+``uint64`` keys, and a step field maps with one ``np.searchsorted`` over the
+keys its comma positions give. A line that does not fit (a longer name, a
+NUL byte, a name not among the keys) is split and mapped through the name
+dictionary instead. Each path is stored as an int64 id column plus a bool
+orientation column, which is what :meth:`LeanGraph.from_variation_graph`
+concatenates.
 
-Parsing is single-pass with O(pending) transient memory: ``L``/``P``/``W``
-records are resolved against the name map and applied to the graph as soon
-as they are read (GFA segments overwhelmingly precede their uses), and only
-*true forward references* — records naming a segment not yet declared — are
-spilled to a small list resolved once at end of input, after every
-eagerly-resolved record. Every :class:`GFAError` carries the 1-based line
-number of the offending record, including those resolved at end of input.
+Every check that can fail on one line runs while that line is read, so the
+error raised is the first in file order. Only *true forward references* —
+records naming a segment not yet declared — are resolved at end of input:
+their links follow the others, their paths are added after every path whose
+segments were declared before its line, and an unknown name raises there.
+Every :class:`GFAError` carries the 1-based line number of the offending
+record, including those resolved at end of input.
 """
 from __future__ import annotations
 
@@ -43,14 +50,19 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Unio
 import numpy as np
 
 from .lean import LeanGraph
-from .variation_graph import VariationGraph
+from .variation_graph import EdgeKey, VariationGraph
 
 __all__ = ["parse_gfa", "parse_gfa_text", "write_gfa", "gfa_to_text", "GFAError"]
 
 #: The orientation mark opening each step of a W-line walk.
 _W_MARK = re.compile(r"[<>]")
 _UINT = re.compile(r"[0-9]+")
-_COMMA, _MINUS, _GT, _LT = (ord(c) for c in ",-><")
+_COMMA, _PLUS, _MINUS, _GT, _LT = (ord(c) for c in ",+-><")
+#: The orientation of an ``L`` line end: exactly one of these.
+_MARKS = ("+", "-")
+#: ``_KEY_MASKS[n]`` keeps the first ``n`` bytes of a big-endian 8-byte word.
+_KEY_MASKS = np.array([0] + [(1 << 64) - (1 << (64 - 8 * n)) for n in range(1, 9)],
+                      dtype=np.uint64)
 
 
 class GFAError(ValueError):
@@ -87,18 +99,22 @@ def parse_gfa_text(text: str) -> VariationGraph:
 
 
 def _parse_lines(handle: Iterable[str]) -> VariationGraph:
-    graph = VariationGraph()
+    # Segment columns; a segment's node id is its declaration order.
     name_to_id: Dict[str, int] = {}
-    # True forward references only, each with its line number. L/P/W records
-    # whose segment names all resolve are applied immediately; a record
-    # naming a not-yet-declared segment is spilled here and resolved once
-    # at end of input, so transient memory is O(pending), not O(file).
-    spilled_links: List[Tuple[int, str, bool, str, bool]] = []
+    lengths: List[int] = []
+    sequences: Dict[int, str] = {}
+    # (lineno, segments declared by then, from, from_rev, to, to_rev).
+    links: List[Tuple[int, int, str, bool, str, bool]] = []
+    # Paths whose segments were all declared before their line, in file
+    # order. A path naming a segment not yet declared is spilled with its
+    # names and resolved at end of input.
+    paths: Dict[str, Tuple[Sequence[int], np.ndarray]] = {}
     spilled_paths: List[Tuple[int, str, List[str], np.ndarray]] = []
+    packed = _PackedNames(name_to_id)
 
     for lineno, raw in enumerate(handle, start=1):
         line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         fields = line.split("\t")
         tag = fields[0]
@@ -111,51 +127,45 @@ def _parse_lines(handle: Iterable[str]) -> VariationGraph:
             if name in name_to_id:
                 raise GFAError(f"duplicate segment '{name}'", lineno)
             if seq == "*":
-                seq = _sequence_from_tags(fields[3:], lineno)
-            node_id = len(name_to_id)
-            name_to_id[name] = node_id
-            graph.add_node(node_id, seq)
+                lengths.append(_length_from_tags(fields[3:], lineno))
+            else:
+                sequences[len(lengths)] = seq
+                lengths.append(len(seq))
+            name_to_id[name] = len(name_to_id)
         elif tag == "L":
             if len(fields) < 5:
                 raise GFAError("L line needs 5 fields", lineno)
-            if fields[2] not in "+-" or fields[4] not in "+-":
+            if fields[2] not in _MARKS or fields[4] not in _MARKS:
                 raise GFAError("invalid orientation in L line", lineno)
-            from_name, from_rev = fields[1], fields[2] == "-"
-            to_name, to_rev = fields[3], fields[4] == "-"
-            from_id = name_to_id.get(from_name)
-            to_id = name_to_id.get(to_name)
-            if from_id is None or to_id is None:
-                spilled_links.append((lineno, from_name, from_rev, to_name, to_rev))
-            else:
-                graph.add_edge(from_id, to_id, from_rev, to_rev)
+            links.append((lineno, len(lengths), fields[1], fields[2] == "-",
+                          fields[3], fields[4] == "-"))
         elif tag in ("P", "W"):
             if tag == "P":
                 if len(fields) < 3:
                     raise GFAError("P line needs name and steps", lineno)
                 path_name = fields[1]
-                names, reverse = _path_steps(fields[2], lineno)
+                data, marks, reverse = _path_steps(fields[2], lineno)
+                node_ids = packed.lookup(fields[2], data, marks)
+                if node_ids is None:
+                    names = _path_names(fields[2])
+                    node_ids = _resolve(name_to_id, names)
             else:
                 path_name = _walk_name(fields, lineno)
                 names, reverse = _walk_steps(fields[6], lineno)
-            node_ids = _resolve(name_to_id, names)
+                node_ids = _resolve(name_to_id, names)
             if node_ids is None:
                 spilled_paths.append((lineno, path_name, names, reverse))
+            elif path_name in paths:
+                raise _duplicate_path(path_name, lineno)
             else:
-                _add_path_checked(graph, lineno, path_name, node_ids, reverse)
+                paths[path_name] = (node_ids, reverse)
         elif tag in ("C", "J"):
             # Containments / jumps are valid GFA but unused by layout.
             continue
         else:
             raise GFAError(f"unknown record type '{tag}'", lineno)
 
-    for lineno, from_name, from_rev, to_name, to_rev in spilled_links:
-        try:
-            graph.add_edge(
-                name_to_id[from_name], name_to_id[to_name], from_rev, to_rev
-            )
-        except KeyError as exc:
-            raise GFAError(f"link references unknown segment {exc}", lineno) from exc
-
+    edges = dict.fromkeys(_link_keys(links, name_to_id))
     for lineno, path_name, names, reverse in spilled_paths:
         try:
             node_ids = [name_to_id[n] for n in names]
@@ -163,10 +173,43 @@ def _parse_lines(handle: Iterable[str]) -> VariationGraph:
             raise GFAError(
                 f"path '{path_name}' references unknown segment {exc}", lineno
             ) from exc
-        _add_path_checked(graph, lineno, path_name, node_ids, reverse)
+        if path_name in paths:
+            raise _duplicate_path(path_name, lineno)
+        paths[path_name] = (node_ids, reverse)
 
-    graph.segment_names = {v: k for k, v in name_to_id.items()}  # type: ignore[attr-defined]
+    graph = VariationGraph()
+    graph._install(lengths, sequences, edges)
+    for path_name, (node_ids, reverse) in paths.items():
+        graph.add_path_columns(path_name, node_ids, reverse)
+    graph.segment_names = dict(enumerate(name_to_id))  # type: ignore[attr-defined]
     return graph
+
+
+def _link_keys(links: List[Tuple[int, int, str, bool, str, bool]],
+               name_to_id: Dict[str, int]) -> List[EdgeKey]:
+    """Edge keys of the ``L`` records, in the order a reader applying each
+    record when it can gives them: the links whose segments were declared
+    before the line, then the forward references, each in file order."""
+    unknown = len(name_to_id)
+    eager: List[EdgeKey] = []
+    forward: List[EdgeKey] = []
+    for lineno, declared, from_name, from_rev, to_name, to_rev in links:
+        from_id = name_to_id.get(from_name, unknown)
+        to_id = name_to_id.get(to_name, unknown)
+        if from_id == unknown or to_id == unknown:
+            name = from_name if from_id == unknown else to_name
+            raise GFAError(f"link references unknown segment {name!r}", lineno)
+        key = (from_id, from_rev, to_id, to_rev)
+        if from_id < declared and to_id < declared:
+            eager.append(key)
+        else:
+            forward.append(key)
+    return eager + forward
+
+
+def _duplicate_path(path_name: str, lineno: int) -> GFAError:
+    return GFAError(f"invalid path '{path_name}': path '{path_name}' already exists",
+                    lineno)
 
 
 def _resolve(name_to_id: Dict[str, int], names: List[str]) -> Optional[np.ndarray]:
@@ -178,15 +221,64 @@ def _resolve(name_to_id: Dict[str, int], names: List[str]) -> Optional[np.ndarra
         return None
 
 
-def _add_path_checked(graph: VariationGraph, lineno: int, path_name: str,
-                      node_ids: Sequence[int], reverse: np.ndarray) -> None:
-    try:
-        graph.add_path_columns(path_name, node_ids, reverse)
-    except ValueError as exc:  # e.g. duplicate path names
-        raise GFAError(f"invalid path '{path_name}': {exc}", lineno) from exc
+class _PackedNames:
+    """Segment names as sorted big-endian ``uint64`` keys, so that a whole
+    P line maps to node ids with one ``np.searchsorted``.
+
+    A name of at most 8 UTF-8 bytes without a NUL byte, zero-padded to 8
+    bytes, is one integer that no other such name shares. The keys cover the
+    segments declared when they were built, and are built again once twice
+    as many are declared. If a covered name does not fit, there are no keys
+    and every line goes through the name dictionary.
+    """
+
+    def __init__(self, name_to_id: Dict[str, int]):
+        self._name_to_id = name_to_id
+        self._covered = 0
+        self._keys: Optional[np.ndarray] = None
+        self._ids: Optional[np.ndarray] = None
+
+    def _build(self) -> None:
+        names = list(self._name_to_id)
+        self._covered = len(names)
+        self._keys = self._ids = None
+        # surrogatepass: a str handed to parse_gfa_text may hold lone
+        # surrogates, which strict UTF-8 cannot encode.
+        encoded = [name.encode("utf-8", "surrogatepass") for name in names]
+        if max(map(len, encoded)) > 8 or "\0" in "".join(names):
+            return
+        keys = np.frombuffer(b"".join(e.ljust(8, b"\0") for e in encoded),
+                             dtype=">u8").astype(np.uint64)
+        self._ids = np.argsort(keys)
+        self._keys = keys[self._ids]
+
+    def lookup(self, step_field: str, data: np.ndarray,
+               marks: np.ndarray) -> Optional[np.ndarray]:
+        """Node ids of a step field's names, or None when one is not a key:
+        longer than 8 bytes, holding a NUL byte, or not declared when the
+        keys were built."""
+        if len(self._name_to_id) > 2 * self._covered:
+            self._build()
+        if self._keys is None or not marks.size or "\0" in step_field:
+            return None
+        starts = np.empty_like(marks)
+        starts[0] = 0
+        starts[1:] = marks[:-1] + 2
+        sizes = marks - starts
+        if sizes.max() > 8:
+            return None
+        # Each step's first 8 bytes as one word, masked to the name's bytes.
+        padded = np.zeros(data.size + 8, dtype=np.uint8)
+        padded[:data.size] = data
+        words = np.ndarray(data.size, dtype=">u8", buffer=padded, strides=(1,))
+        keys = words.take(starts) & _KEY_MASKS.take(sizes)
+        slots = np.searchsorted(self._keys, keys)
+        if not np.array_equal(self._keys.take(slots, mode="clip"), keys):
+            return None
+        return self._ids.take(slots)
 
 
-def _sequence_from_tags(tags: List[str], lineno: int) -> str:
+def _length_from_tags(tags: List[str], lineno: int) -> int:
     for tag in tags:
         if tag.startswith("LN:i:"):
             try:
@@ -195,30 +287,40 @@ def _sequence_from_tags(tags: List[str], lineno: int) -> str:
                 raise GFAError(f"bad LN tag '{tag}'", lineno) from exc
             if length < 0:
                 raise GFAError("negative LN tag", lineno)
-            return "N" * length
+            return length
     raise GFAError("segment with '*' sequence requires an LN:i: tag", lineno)
 
 
-def _path_steps(step_field: str, lineno: int) -> Tuple[List[str], np.ndarray]:
-    """Segment names and orientations of a P line's step field."""
+def _path_steps(step_field: str, lineno: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A P line's step field as its UTF-8 bytes, the byte offset of each
+    step's orientation mark, and the orientations."""
     if step_field == "*":
-        return [], np.zeros(0, dtype=bool)
-    # Well formed means every step ends in a mark: the field does, and so
-    # does every item before a comma.
-    if step_field[-1:] in ("+", "-") and step_field.count(",") == (
-        step_field.count("+,") + step_field.count("-,")
-    ):
-        data = np.frombuffer(step_field.encode(), dtype=np.uint8)
-        marks = np.append(data[np.flatnonzero(data == _COMMA) - 1], data[-1])
-        # Segment names may contain ``+`` and ``-``: only a mark directly
-        # before a comma ends a step, so split on "[+-]," (as "+," after
-        # folding "-," into it, which str does twice as fast as re).
-        names = step_field[:-1].replace("-,", "+,").split("+,")
-        return names, marks == _MINUS
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    # surrogatepass, as for the keys: a malformed field must reach the
+    # per-item check below.
+    data = np.frombuffer(step_field.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    # Well formed means every step ends in a mark: the byte before each
+    # comma does, and so does the last byte.
+    marks = np.append(np.flatnonzero(data == _COMMA), data.size) - 1
+    if marks[0] >= 0:
+        found = data.take(marks)
+        reverse = found == _MINUS
+        if np.all(reverse | (found == _PLUS)):
+            return data, marks, reverse
     # Malformed: name the first bad step.
     bad = next(item for item in step_field.split(",") if not item or item[-1] not in "+-")
     raise GFAError(f"path step '{bad}' lacks orientation" if bad else "empty path step",
                    lineno)
+
+
+def _path_names(step_field: str) -> List[str]:
+    """Segment names of a well-formed P line step field."""
+    if step_field == "*":
+        return []
+    # Segment names may contain ``+`` and ``-``: only a mark directly
+    # before a comma ends a step, so split on "[+-]," (as "+," after
+    # folding "-," into it, which str does twice as fast as re).
+    return step_field[:-1].replace("-,", "+,").split("+,")
 
 
 def _walk_name(fields: List[str], lineno: int) -> str:

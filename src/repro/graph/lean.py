@@ -166,9 +166,7 @@ class LeanGraph:
         of the visited node lengths, restarted at each path's first step.
         """
         node_ids = np.fromiter(graph.node_ids(), dtype=np.int64, count=graph.node_count)
-        node_lengths = np.fromiter(
-            (node.length for node in graph.nodes()), dtype=np.int64, count=graph.node_count
-        )
+        node_lengths = graph.node_lengths()
         paths = list(graph.paths())
         counts = np.fromiter((len(path) for path in paths), dtype=np.int64, count=len(paths))
         offsets = np.concatenate(([0], np.cumsum(counts)))

@@ -13,6 +13,11 @@ deliberately richer than the layout algorithm needs. The layout engines never
 consume it directly — they consume the flat, array-based
 :class:`repro.graph.lean.LeanGraph` extracted from it (paper Sec. V-A, the
 "lean data structure").
+
+Storage is per id, not per object: a node is its length (plus its sequence
+when one was given), an edge is its ``(from_id, from_rev, to_id, to_rev)``
+key, and :class:`Node` and :class:`Edge` values are built when a caller asks
+for one. A GFA segment given only by ``LN:i`` therefore costs no string.
 """
 from __future__ import annotations
 
@@ -22,6 +27,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["Node", "Edge", "Path", "VariationGraph"]
+
+#: ``(from_id, from_rev, to_id, to_rev)``: how a graph stores an edge.
+EdgeKey = Tuple[int, bool, int, bool]
 
 
 @dataclass(frozen=True)
@@ -91,20 +99,38 @@ class VariationGraph:
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[int, Node] = {}
-        self._edges: Dict[Tuple[int, bool, int, bool], Edge] = {}
+        #: Node id -> length, in insertion order.
+        self._lengths: Dict[int, int] = {}
+        #: Node id -> sequence, for the nodes that were given one.
+        self._sequences: Dict[int, str] = {}
+        #: Edge keys in insertion order (the values are unused).
+        self._edges: Dict[EdgeKey, None] = {}
         self._paths: Dict[str, Path] = {}
-        self._adjacency: Dict[int, set] = {}
+        #: Undirected neighbour sets, built on first use and kept current
+        #: from then on.
+        self._adjacency: Optional[Dict[int, set]] = None
         # One past the largest node id ever added. While it equals the node
         # count the ids are exactly 0..n-1, so a path's ids can be checked
         # with one min/max instead of a membership test per step.
         self._id_bound = 0
 
+    def _install(self, lengths: List[int], sequences: Dict[int, str],
+                 edges: Dict[EdgeKey, None]) -> None:
+        """Load nodes ``0..len(lengths)-1`` and ``edges`` into an empty graph.
+
+        ``sequences`` holds the nodes that have one; the GFA reader builds
+        all three in one pass.
+        """
+        self._lengths = dict(enumerate(lengths))
+        self._sequences = sequences
+        self._edges = edges
+        self._id_bound = len(lengths)
+
     # ------------------------------------------------------------------ nodes
     @property
     def node_count(self) -> int:
         """Number of nodes."""
-        return len(self._nodes)
+        return len(self._lengths)
 
     @property
     def edge_count(self) -> int:
@@ -118,39 +144,50 @@ class VariationGraph:
 
     def has_node(self, node_id: int) -> bool:
         """Whether ``node_id`` exists."""
-        return node_id in self._nodes
+        return node_id in self._lengths
 
     def add_node(self, node_id: int, sequence: str) -> Node:
         """Add a node; duplicate ids are rejected, empty sequences allowed."""
-        if node_id in self._nodes:
+        if node_id in self._lengths:
             raise ValueError(f"node {node_id} already exists")
         if node_id < 0:
             raise ValueError("node ids must be non-negative")
-        node = Node(node_id, sequence)
-        self._nodes[node_id] = node
+        self._lengths[node_id] = len(sequence)
+        self._sequences[node_id] = sequence
         self._id_bound = max(self._id_bound, node_id + 1)
-        self._adjacency[node_id] = set()
-        return node
+        if self._adjacency is not None:
+            self._adjacency[node_id] = set()
+        return Node(node_id, sequence)
 
     def get_node(self, node_id: int) -> Node:
-        """Return the node with ``node_id`` (KeyError if absent)."""
-        return self._nodes[node_id]
+        """Return the node with ``node_id`` (KeyError if absent).
+
+        A node stored without a sequence reads as ``"N" * length``.
+        """
+        length = self._lengths[node_id]
+        sequence = self._sequences.get(node_id)
+        return Node(node_id, "N" * length if sequence is None else sequence)
 
     def node_length(self, node_id: int) -> int:
         """Sequence length of a node."""
-        return self._nodes[node_id].length
+        return self._lengths[node_id]
+
+    def node_lengths(self) -> np.ndarray:
+        """``(node_count,)`` int64 node lengths, in insertion order."""
+        return np.fromiter(self._lengths.values(), dtype=np.int64,
+                           count=len(self._lengths))
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over nodes in insertion order."""
-        return iter(self._nodes.values())
+        return map(self.get_node, self._lengths)
 
     def node_ids(self) -> List[int]:
         """All node ids in insertion order."""
-        return list(self._nodes.keys())
+        return list(self._lengths)
 
     def remove_node(self, node_id: int) -> None:
         """Remove an isolated-from-paths node and its incident edges."""
-        if node_id not in self._nodes:
+        if node_id not in self._lengths:
             raise KeyError(node_id)
         for path in self._paths.values():
             if np.any(path.nodes == node_id):
@@ -160,9 +197,11 @@ class VariationGraph:
         doomed = [k for k in self._edges if k[0] == node_id or k[2] == node_id]
         for k in doomed:
             del self._edges[k]
-        for neigh in self._adjacency.pop(node_id, set()):
-            self._adjacency.get(neigh, set()).discard(node_id)
-        del self._nodes[node_id]
+        if self._adjacency is not None:
+            for neigh in self._adjacency.pop(node_id):
+                self._adjacency.get(neigh, set()).discard(node_id)
+        del self._lengths[node_id]
+        self._sequences.pop(node_id, None)
 
     # ------------------------------------------------------------------ edges
     def has_edge(
@@ -175,29 +214,38 @@ class VariationGraph:
         self, from_id: int, to_id: int, from_rev: bool = False, to_rev: bool = False
     ) -> Edge:
         """Add an edge between existing nodes; duplicates are idempotent."""
-        if from_id not in self._nodes:
+        if from_id not in self._lengths:
             raise KeyError(f"edge references missing node {from_id}")
-        if to_id not in self._nodes:
+        if to_id not in self._lengths:
             raise KeyError(f"edge references missing node {to_id}")
-        edge = Edge(from_id, to_id, from_rev, to_rev)
-        key = edge.key()
+        key = (from_id, from_rev, to_id, to_rev)
         if key not in self._edges:
-            self._edges[key] = edge
-            self._adjacency[from_id].add(to_id)
-            self._adjacency[to_id].add(from_id)
-        return self._edges[key]
+            self._edges[key] = None
+            if self._adjacency is not None:
+                self._adjacency[from_id].add(to_id)
+                self._adjacency[to_id].add(from_id)
+        return Edge(from_id, to_id, from_rev, to_rev)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges in insertion order."""
-        return iter(self._edges.values())
+        return (Edge(a, b, a_rev, b_rev) for a, a_rev, b, b_rev in self._edges)
 
     def neighbors(self, node_id: int) -> set:
         """Undirected neighbourhood of a node."""
-        return set(self._adjacency[node_id])
+        return set(self._neighbour_sets()[node_id])
 
     def degree(self, node_id: int) -> int:
         """Undirected degree of a node."""
-        return len(self._adjacency[node_id])
+        return len(self._neighbour_sets()[node_id])
+
+    def _neighbour_sets(self) -> Dict[int, set]:
+        if self._adjacency is None:
+            adjacency: Dict[int, set] = {node_id: set() for node_id in self._lengths}
+            for a, _, b, _ in self._edges:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+            self._adjacency = adjacency
+        return self._adjacency
 
     # ------------------------------------------------------------------ paths
     def has_path(self, name: str) -> bool:
@@ -230,12 +278,12 @@ class VariationGraph:
     def _missing_nodes(self, nodes: np.ndarray) -> np.ndarray:
         """The entries of ``nodes`` that name no node, in order."""
         if nodes.size == 0 or (
-            len(self._nodes) == self._id_bound
+            len(self._lengths) == self._id_bound
             and nodes.min() >= 0
             and nodes.max() < self._id_bound
         ):
             return nodes[:0]
-        known = np.fromiter(self._nodes, dtype=np.int64, count=len(self._nodes))
+        known = np.fromiter(self._lengths, dtype=np.int64, count=len(self._lengths))
         return nodes[~np.isin(nodes, known)]
 
     def get_path(self, name: str) -> Path:
@@ -253,7 +301,7 @@ class VariationGraph:
     # ------------------------------------------------------------- aggregates
     def total_sequence_length(self) -> int:
         """Total number of nucleotides stored across all nodes (# Nuc.)."""
-        return sum(n.length for n in self._nodes.values())
+        return sum(self._lengths.values())
 
     def total_path_steps(self) -> int:
         """Sum over paths of the number of steps (the paper's Σ|p|)."""
@@ -270,7 +318,7 @@ class VariationGraph:
     def _walk_nucleotides(self, nodes: np.ndarray) -> int:
         """Summed node lengths of a walk, one lookup per distinct node."""
         ids, visits = np.unique(nodes, return_counts=True)
-        return sum(self._nodes[i].length * k
+        return sum(self._lengths[i] * k
                    for i, k in zip(ids.tolist(), visits.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

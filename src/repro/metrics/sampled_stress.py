@@ -12,6 +12,7 @@ Table VIII) and the correlation study against exact path stress (Fig. 13).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,7 @@ def sampled_path_stress(
         filled += n_samples
     mu = float(terms.mean())
     sigma = float(terms.std(ddof=1)) if n > 1 else 0.0
-    half = 1.96 * sigma / np.sqrt(n) if n > 0 else 0.0
+    half = 1.96 * sigma / math.sqrt(n) if n > 0 else 0.0
     return SampledStress(mu, mu - half, mu + half, n, sigma)
 
 

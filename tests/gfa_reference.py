@@ -1,8 +1,9 @@
 """The per-step GFA reader that ``repro.graph.gfa`` replaced, kept as a test oracle.
 
 This is the earlier ``_parse_lines`` and ``LeanGraph.from_variation_graph``
-loop, unchanged in logic, writing into a minimal stand-in graph instead of
-``VariationGraph``: one ``(node_id, is_reverse)`` tuple per step, positions
+loop, unchanged in logic except that an ``L`` line's orientations must be
+exactly ``+`` or ``-`` (as in the reader), writing into a minimal stand-in
+graph instead of ``VariationGraph``: one ``(node_id, is_reverse)`` tuple per step, positions
 accumulated step by step. It reads P lines only (W lines were skipped).
 The differential tests check the columnar reader against it; nothing under
 ``src/`` imports it.
@@ -98,7 +99,7 @@ def reference_parse(text: str) -> ReferenceGraph:
         elif tag == "L":
             if len(fields) < 5:
                 raise GFAError("L line needs 5 fields", lineno)
-            if fields[2] not in "+-" or fields[4] not in "+-":
+            if fields[2] not in ("+", "-") or fields[4] not in ("+", "-"):
                 raise GFAError("invalid orientation in L line", lineno)
             from_name, from_rev = fields[1], fields[2] == "-"
             to_name, to_rev = fields[3], fields[4] == "-"

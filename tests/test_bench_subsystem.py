@@ -295,6 +295,23 @@ class TestCompare:
         assert report.exit_code == 0
         assert any("timing environments" in note for note in report.notes)
 
+    def test_interpreter_links_are_one_timing_environment(self, tmp_path):
+        interpreter = tmp_path / "python3.11"
+        interpreter.write_text("")
+        for link in ("python", "python3"):
+            (tmp_path / link).symlink_to(interpreter)
+        old, new = self._wall_pair(2.0, 2.5)
+        old["environment"]["executable"] = str(tmp_path / "python")
+        new["environment"]["executable"] = str(tmp_path / "python3")
+        report = compare_documents(old, new, max_regress=0.10)
+        assert [d.status for d in report.deltas] == ["fail"]
+        # Another interpreter file is another timing environment.
+        (tmp_path / "python3.12").write_text("")
+        new["environment"]["executable"] = str(tmp_path / "python3.12")
+        report = compare_documents(old, new, max_regress=0.10)
+        assert [d.status for d in report.deltas] == ["warn"]
+        assert any("differing executable" in note for note in report.notes)
+
     def test_ns_metric_is_wall_time(self):
         # perf_gfa_ingest's ingest_ns_per_step: gated like the s/ms metrics.
         old, new = self._wall_pair(500.0, 600.0)

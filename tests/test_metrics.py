@@ -96,6 +96,12 @@ class TestSampledPathStress:
         assert s.n_samples > 0
         assert s.ci_width >= 0
 
+    def test_float_fields_are_python_floats(self, small_synthetic):
+        layout = initialize_layout(small_synthetic, seed=3)
+        s = sampled_path_stress(layout, small_synthetic, samples_per_step=5)
+        assert [type(v) for v in (s.value, s.ci_low, s.ci_high, s.std)] == [float] * 4
+        assert type(s.n_samples) is int
+
     def test_more_samples_tighter_ci(self, small_synthetic):
         layout = initialize_layout(small_synthetic, seed=3)
         few = sampled_path_stress(layout, small_synthetic, samples_per_step=5, seed=0)

@@ -67,6 +67,10 @@ class TestGfaNegative:
         ("S\ta\t*\tLN:i:-3\n", 1),
         ("S\ta\tA\nL\ta\t+\ta\n", 2),
         ("S\ta\tA\nL\ta\t?\ta\t+\t0M\n", 2),
+        # An orientation is exactly "+" or "-": not empty, not "+-".
+        ("S\t1\tA\nL\t1\t\t2\t+\t0M\nS\t2\tC\n", 2),
+        ("S\t1\tA\nL\t1\t+-\t2\t+\t0M\nS\t2\tC\n", 2),
+        ("S\t1\tA\nS\t2\tC\nL\t1\t+\t2\t\t0M\n", 3),
         ("S\ta\tA\nL\ta\t+\tmissing\t+\t0M\nS\tb\tC\n", 2),
         ("P\tp\ta+\t*\n", 1),
         ("H\tVN:Z:1.0\nP\tp\ta+,b+\t*\nS\ta\tA\n", 2),
@@ -77,6 +81,11 @@ class TestGfaNegative:
         # The spilled record is the duplicate: it is applied at end of input.
         ("P\tp\tb+\t*\nS\ta\tA\nP\tp\ta+\t*\nS\tb\tC\n", 1),
         ("# comment\n\nS\ta\tA\nP\tp\tz+\t*\n", 4),
+        # Several faults: the first in file order is raised, except that
+        # records resolved at end of input come last, links before paths.
+        ("S\ta\tA\nP\tp\ta\t*\nS\tb\n", 2),
+        ("S\ta\tA\nP\tp\ta+\t*\nP\tp\ta+\t*\nS\tb\n", 3),
+        ("S\ta\tA\nP\tp\tb+\t*\nL\ta\t+\tb\t+\t0M\n", 3),
         ("X\twhatever\n", 1),
         ("\x00\x07\tbinary\n", 1),
         # GFA 1.1 walks.
