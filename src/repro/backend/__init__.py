@@ -12,6 +12,11 @@ and their registration self-test passes. Select one via
 See :mod:`repro.backend.registry` for how to register a new backend and
 ``tests/test_conformance.py`` for the cross-engine matrix every backend must
 pass (required for any future backend PR, per ROADMAP).
+
+:mod:`repro.backend.cext` is not a registered backend: it builds exact C
+kernels at first use and loads them with ``ctypes``; callers such as
+:func:`repro.metrics.stress.pair_stress_terms` use them when they load and
+keep their NumPy path when they do not.
 """
 from .base import MERGE_POLICIES, ArrayBackend
 from .registry import (

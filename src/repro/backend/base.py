@@ -33,10 +33,34 @@ from typing import Any, Tuple
 
 import numpy as np
 
-__all__ = ["ArrayBackend", "MERGE_POLICIES"]
+__all__ = ["ArrayBackend", "MERGE_POLICIES", "check_kernel"]
 
 #: The write-merge policies every backend must implement in ``merge_scatter``.
 MERGE_POLICIES = ("hogwild", "accumulate", "last_writer")
+
+
+def check_kernel(kernel: str, got, expect, atol: float = 0.0) -> None:
+    """Raise ``AssertionError`` naming ``kernel`` unless ``got`` matches ``expect``.
+
+    Both must have one shape. With ``atol`` > 0 every ``|got - expect|``
+    must be at most ``atol``. Otherwise they must be equal: for floats that
+    means equal bits, with any NaN matching any NaN.
+
+    Self-tests call this instead of ``numpy.testing``, whose import pulls
+    ``unittest`` and more into every process that asks for a backend.
+    """
+    got, expect = np.asarray(got), np.asarray(expect)
+    if got.shape != expect.shape:
+        raise AssertionError(f"{kernel}: shape {got.shape}, expected {expect.shape}")
+    if atol > 0:
+        ok = bool(np.all(np.abs(got - expect) <= atol))
+    elif got.dtype.kind == "f" and expect.dtype == got.dtype:
+        ok = (np.where(np.isnan(got), np.nan, got).tobytes()
+              == np.where(np.isnan(expect), np.nan, expect).tobytes())
+    else:
+        ok = bool(np.array_equal(got, expect))
+    if not ok:
+        raise AssertionError(f"{kernel}: result differs from the NumPy reference")
 
 
 class ArrayBackend:
@@ -201,10 +225,10 @@ class ArrayBackend:
         coords0 = rng.normal(size=(9, 2))
 
         touched, inverse, counts = self.compact_points(self.asarray(points))
-        np.testing.assert_array_equal(self.to_host(touched), [0, 1, 4, 7])
-        np.testing.assert_array_equal(self.to_host(counts), [1, 2, 3, 2])
-        np.testing.assert_array_equal(np.asarray(points),
-                                      self.to_host(touched)[self.to_host(inverse)])
+        check_kernel("compact_points", self.to_host(touched), np.array([0, 1, 4, 7]))
+        check_kernel("compact_points", self.to_host(counts), np.array([1, 2, 3, 2]))
+        check_kernel("compact_points", self.to_host(touched)[self.to_host(inverse)],
+                     points)
 
         for merge in MERGE_POLICIES:
             expect = coords0.copy()
@@ -226,12 +250,12 @@ class ArrayBackend:
             got = self.from_host(coords0.copy())
             self.merge_scatter(got, touched, inverse, counts,
                                self.asarray(deltas), merge)
-            np.testing.assert_allclose(self.to_host(got), expect,
-                                       atol=1e-12, rtol=0)
+            check_kernel(f"merge_scatter({merge})", self.to_host(got), expect,
+                         atol=1e-12)
 
         sq = self.rowwise_sqnorm(self.asarray(deltas))
-        np.testing.assert_allclose(self.to_host(sq), (deltas * deltas).sum(axis=1),
-                                   atol=1e-12, rtol=0)
+        check_kernel("rowwise_sqnorm", self.to_host(sq), (deltas * deltas).sum(axis=1),
+                     atol=1e-12)
         self.synchronize()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -52,6 +52,13 @@ NOISE_BAND = 1e-12
 #: Environment fields that must agree for wall times to be comparable.
 TIMING_KEYS = ("platform", "machine", "executable", "python")
 
+#: Environment fields whose difference :func:`compare_documents` notes, and why.
+_MISMATCH_NOTES = {
+    "python": "metric values are only bit-reproducible under identical numerics",
+    "numpy": "metric values are only bit-reproducible under identical numerics",
+    "cext": "the compiled kernels' callers time different code with and without them",
+}
+
 #: Units marking a metric as an *absolute* wall-clock duration. Only these
 #: are eligible for the cross-environment fail→warn downgrade; measured but
 #: dimensionless metrics (ratios) stay hard-gated on every machine.
@@ -187,14 +194,12 @@ def compare_documents(
     differing = [key for key in TIMING_KEYS if old_timing[key] != new_timing[key]]
     timing_downgrades = 0
 
-    for env_key in ("python", "numpy"):
+    for env_key, why in _MISMATCH_NOTES.items():
         old_env = old_doc["environment"].get(env_key)
         new_env = new_doc["environment"].get(env_key)
         if old_env != new_env:
             report.notes.append(
-                f"environment mismatch: {env_key} {old_env} -> {new_env} "
-                "(metric values are only bit-reproducible under identical numerics)"
-            )
+                f"environment mismatch: {env_key} {old_env} -> {new_env} ({why})")
     if old_doc.get("master_seed") != new_doc.get("master_seed"):
         report.notes.append(
             f"master seed differs: {old_doc.get('master_seed')} -> "

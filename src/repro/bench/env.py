@@ -3,7 +3,9 @@
 The fingerprint answers "were these two result files produced under
 comparable conditions?" — ``repro bench compare`` prints a warning when the
 Python or NumPy versions differ, because modelled metric values are only
-guaranteed bit-identical under identical numerics.
+guaranteed bit-identical under identical numerics, and when one document
+ran with the compiled kernels (:mod:`repro.backend.cext`) and the other
+without, because their wall times then measure different code.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 def environment_fingerprint(cwd: Optional[str] = None) -> Dict[str, object]:
     """Stable description of the interpreter, libraries and machine."""
     from .. import __version__ as repro_version
+    from ..backend import cext
 
     return {
         "python": platform.python_version(),
@@ -43,6 +46,7 @@ def environment_fingerprint(cwd: Optional[str] = None) -> Dict[str, object]:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "numpy": np.__version__,
+        "cext": cext.status(),
         "repro": repro_version,
         "executable": sys.executable,
         "git": git_revision(cwd),

@@ -15,8 +15,9 @@ Subcommands:
 * ``repro analyze`` — the AST-based contract linter (:mod:`repro.analysis`):
   checks the determinism (DET001/DET002), zero-alloc (ALLOC001),
   memory-ceiling (MEM001), backend-dispatch (XP001), shm-lifecycle
-  (SHM001), clock-seam (OBS001) and no-unbounded-blocking (ROBUST001)
-  invariants over the given paths and exits nonzero on violations
+  (SHM001), clock-seam (OBS001), no-unbounded-blocking (ROBUST001) and
+  native-library-loading (CEXT001) invariants over the given paths and
+  exits nonzero on violations
   (``--strict`` also fails on warnings and stale baseline entries — the
   CI configuration).
 * ``repro trace`` — run-telemetry tooling over the JSONL traces that
@@ -359,9 +360,10 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         description="AST-based contract linter: determinism (DET001/DET002), "
                     "zero-alloc hot loops (ALLOC001), bounded iteration "
                     "memory (MEM001), backend dispatch (XP001), shm "
-                    "lifecycle (SHM001), the obs clock seam (OBS001) and "
+                    "lifecycle (SHM001), the obs clock seam (OBS001), "
                     "no unbounded blocking waits in the parallel runtime "
-                    "(ROBUST001)",
+                    "(ROBUST001) and shared libraries loaded only by "
+                    "repro.backend.cext (CEXT001)",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyze (default: src)")

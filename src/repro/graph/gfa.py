@@ -287,6 +287,8 @@ def _length_from_tags(tags: List[str], lineno: int) -> int:
                 raise GFAError(f"bad LN tag '{tag}'", lineno) from exc
             if length < 0:
                 raise GFAError("negative LN tag", lineno)
+            if length >= 2**63:
+                raise GFAError(f"LN tag '{tag}' does not fit a 64-bit length", lineno)
             return length
     raise GFAError("segment with '*' sequence requires an LN:i: tag", lineno)
 
@@ -341,7 +343,9 @@ def _walk_name(fields: List[str], lineno: int) -> str:
 
 def _walk_steps(walk: str, lineno: int) -> Tuple[List[str], np.ndarray]:
     """Segment names and orientations of a W line's ``>``/``<`` walk."""
-    data = np.frombuffer(walk.encode(), dtype=np.uint8)
+    # surrogatepass, as for P lines: a lone surrogate is a name like any
+    # other, and an unknown one raises the typed error naming the line.
+    data = np.frombuffer(walk.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     is_mark = (data == _GT) | (data == _LT)
     starts = np.flatnonzero(is_mark)
     if not walk or not is_mark[0]:

@@ -88,8 +88,8 @@ def sampled_path_stress(
         same = local_i == local_j
         if np.any(same):
             local_j[same] = rng.integers(0, count, size=int(same.sum()))
-        terms[filled:filled + n_samples] = pair_stress_terms(
-            layout, graph, start + local_i, start + local_j)
+        pair_stress_terms(layout, graph, start + local_i, start + local_j,
+                          out=terms[filled:filled + n_samples])
         filled += n_samples
     mu = float(terms.mean())
     sigma = float(terms.std(ddof=1)) if n > 1 else 0.0

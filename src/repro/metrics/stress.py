@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..backend import cext
 from ..core.layout import Layout
 from ..graph.lean import LeanGraph
 
@@ -36,22 +37,54 @@ def pair_stress_terms(
     graph: LeanGraph,
     flat_i: np.ndarray,
     flat_j: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Normalised stress of specific step pairs (averaged over endpoints).
 
     ``flat_i`` / ``flat_j`` index the graph's flat step arrays and must refer
     to steps of the same path. Pairs with zero reference distance are
-    returned as 0 (they carry no information about the layout).
+    returned as 0 (they carry no information about the layout). The terms
+    are written into ``out`` when it is given.
+
+    One call of the compiled kernel (:mod:`repro.backend.cext`) evaluates
+    the pairs when it is available and the arguments are within its
+    contract; otherwise :func:`numpy_pair_stress_terms` does. Both give the
+    same bits.
     """
     flat_i = np.asarray(flat_i, dtype=np.int64)
     flat_j = np.asarray(flat_j, dtype=np.int64)
     # The (2·n_nodes, 2) coordinates viewed flat: endpoint e of node v has
     # its X at element 4v + 2e and its Y at element 4v + 2e + 1.
-    flat = layout.coords.reshape(-1)
-    base_i = 4 * np.take(graph.step_nodes, flat_i)
-    base_j = 4 * np.take(graph.step_nodes, flat_j)
+    args = (layout.coords.reshape(-1), graph.step_nodes, graph.step_positions,
+            flat_i, flat_j)
+    compiled = cext.kernels()
+    if compiled is not None:
+        terms = np.empty(flat_i.size) if out is None else out
+        if compiled.pair_stress_terms(*args, terms):
+            return terms
+    terms = numpy_pair_stress_terms(*args)
+    if out is None:
+        return terms
+    out[...] = terms
+    return out
+
+
+def numpy_pair_stress_terms(
+    flat: np.ndarray,
+    step_nodes: np.ndarray,
+    step_positions: np.ndarray,
+    flat_i: np.ndarray,
+    flat_j: np.ndarray,
+) -> np.ndarray:
+    """:func:`pair_stress_terms` in NumPy, over the flat coordinate view.
+
+    The reference the compiled kernel is tested against, and the fallback
+    when it is unavailable or an argument is outside its contract.
+    """
+    base_i = 4 * np.take(step_nodes, flat_i)
+    base_j = 4 * np.take(step_nodes, flat_j)
     d_ref = np.abs(
-        np.take(graph.step_positions, flat_i) - np.take(graph.step_positions, flat_j)
+        np.take(step_positions, flat_i) - np.take(step_positions, flat_j)
     ).astype(np.float64)
     valid = d_ref > 0
     d_safe = np.where(valid, d_ref, 1.0)

@@ -572,6 +572,44 @@ class TestRobust001:
         assert report.suppressed_by_pragma == 1
 
 
+class TestCext001:
+    def test_library_loads_outside_the_loader_flagged(self, tmp_path):
+        found = findings_for(tmp_path, {
+            "metrics/fast.py": (
+                "import ctypes\n"
+                "from ctypes import cdll\n"
+                "import numpy as np\n"
+                "a = ctypes.CDLL('libm.so.6')\n"
+                "b = cdll.LoadLibrary('libm.so.6')\n"
+                "c = np.ctypeslib.load_library('libk', '.')\n"
+            ),
+        }, rule="CEXT001")
+        assert sorted(f.line for f in found) == [4, 5, 6]
+        assert "repro/backend/cext.py" in found[0].message
+
+    def test_the_loader_and_plain_ctypes_use_clean(self, tmp_path):
+        found = findings_for(tmp_path, {
+            "backend/cext.py": "import ctypes\nlib = ctypes.CDLL('k.so')\n",
+            "metrics/stress.py": (
+                "import ctypes\n"
+                "size = ctypes.sizeof(ctypes.c_double)\n"
+                "ptr = ctypes.c_void_p(0)\n"
+            ),
+        }, rule="CEXT001")
+        assert found == []
+
+    def test_cext_ok_pragma_suppresses(self, tmp_path):
+        write_tree(tmp_path, {
+            "core/probe.py": (
+                "import ctypes\n"
+                "libc = ctypes.CDLL(None)  # cext-ok: the process's own symbols\n"
+            ),
+        })
+        report = run_analysis([str(tmp_path)])
+        assert [f for f in report.findings if f.rule == "CEXT001"] == []
+        assert report.suppressed_by_pragma == 1
+
+
 class TestPragmaScanner:
     def test_scan_finds_tokens_and_reasons(self):
         lines = [

@@ -9,9 +9,15 @@ and against ``apply_batch`` round-trips).
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.backend import (
     ArrayBackend,
     BackendUnavailable,
@@ -123,11 +129,22 @@ class TestRegistry:
         register_backend("broken", BrokenBackend)
         with pytest.raises(BackendUnavailable, match="broken"):
             get_backend("broken")
-        # The failure is recorded and re-raised cheaply on later calls.
-        assert "broken" in backend_failures()
+        # The failure is recorded, naming the kernel, and re-raised cheaply
+        # on later calls.
+        assert "merge_scatter(hogwild)" in backend_failures()["broken"]
         with pytest.raises(BackendUnavailable):
             get_backend("broken")
         assert "broken" not in available_backends()
+
+    def test_self_test_does_not_import_numpy_testing(self):
+        # numpy.testing pulls unittest and more into every process (and
+        # every forked worker) that asks for a backend.
+        code = ("import sys; from repro.backend import get_backend; "
+                "get_backend('numpy'); print('numpy.testing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "False"
 
     def test_factory_import_error_is_clean(self, scratch_registry):
         def factory():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.backend import cext
 from repro.bench.compare import (
     compare_documents,
     compare_files,
@@ -276,6 +277,16 @@ class TestCompare:
         report = compare_documents(old, new)
         assert any("numpy" in note for note in report.notes)
 
+    def test_compiled_kernel_mismatch_noted_not_gated(self):
+        old, new = self.pair(1.0, 1.0, "lower")
+        old["environment"]["cext"] = "loaded"
+        new["environment"]["cext"] = "no C compiler on PATH (tried cc, gcc, clang)"
+        report = compare_documents(old, new)
+        assert [note for note in report.notes if "cext loaded -> no C compiler" in note]
+        assert report.exit_code == 0
+        new["environment"]["cext"] = "loaded"
+        assert compare_documents(old, new).notes == []
+
     def _wall_pair(self, old_value, new_value):
         old, new = self.pair(old_value, new_value, "lower")
         for doc in (old, new):
@@ -359,5 +370,6 @@ class TestEnvironmentFingerprint:
         from repro.bench.env import environment_fingerprint
 
         fp = environment_fingerprint()
-        assert set(fp) >= {"python", "numpy", "platform", "repro", "git"}
+        assert set(fp) >= {"python", "numpy", "platform", "repro", "git", "cext"}
+        assert fp["cext"] == cext.status()
         assert json.dumps(fp)  # JSON-serialisable

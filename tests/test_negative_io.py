@@ -100,6 +100,10 @@ class TestGfaNegative:
         ("S\ta\tA\nW\ts\t0\tc\t0\t1\t>a>zz\n", 2),
         ("S\ta\tA\nW\ts\t0\tc\t0\t1\n", 2),
         ("W\ts\t0\tc\t0\t1\t>a\nS\ta\tA\nW\ts\t0\tc\t0\t1\t>a\n", 1),
+        ("S\ta\tA\nW\ts\t0\tc\t0\t1\t>\ud800\n", 2),
+        # Lengths are int64 columns: 2^63 does not fit.
+        ("S\ta\t*\tLN:i:99999999999999999999\nP\tp\ta+\t*\n", 1),
+        ("S\ta\t*\tLN:i:9223372036854775808\n", 1),
     ])
     def test_error_names_the_line(self, text, line):
         with pytest.raises(GFAError, match=f"^line {line}: ") as info:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import output_reference as ref
+from repro.backend import cext
 from repro.cli import main
 from repro.core import LayoutParams, layout_graph
 from repro.core.layout import Layout, initialize_layout
@@ -26,12 +27,20 @@ from repro.graph import LeanGraph, figure1_example, parse_gfa
 from repro.io import read_lay, write_tsv
 from repro.metrics import path_stress, sampled_path_stress
 from repro.metrics.sampled_stress import sample_step_pairs, tail_pair_stress
-from repro.metrics.stress import pair_stress_terms
+from repro.metrics.stress import numpy_pair_stress_terms, pair_stress_terms
 from repro.render import render_svg
 from repro.render.svg import _node_path_multiplicity
 from repro.synth import chr1_like, hla_drb1_like, mhc_like
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+HAVE_CC = cext.find_compiler() is not None
+
+#: Coordinates the compiled kernel must handle as NumPy does: signed zeros,
+#: subnormals, squares that overflow, and non-finite values.
+SPECIAL_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e154, 1e300, -1e300, np.finfo(np.float64).max, np.inf,
+                  -np.inf, np.nan]
 
 GRAPHS = {
     "tiny": lambda: LeanGraph.from_variation_graph(
@@ -74,6 +83,26 @@ def _assert_terms_match(layout: Layout, graph: LeanGraph, flat_i, flat_j):
     want = ref.pair_stress_terms(layout.coords, graph, flat_i, flat_j)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    _assert_compiled_bits(layout.coords, graph, flat_i, flat_j)
+
+
+def _assert_compiled_bits(coords, graph: LeanGraph, flat_i, flat_j):
+    """The compiled kernel writes the NumPy fallback's bits, NaN where NaN.
+    Without a C compiler there is no compiled kernel to compare."""
+    if not HAVE_CC:
+        return
+    compiled = cext.kernels()
+    assert compiled is not None, cext.status()
+    args = (np.ascontiguousarray(coords).reshape(-1), graph.step_nodes,
+            graph.step_positions, np.asarray(flat_i, dtype=np.int64),
+            np.asarray(flat_j, dtype=np.int64))
+    got = np.full(args[3].size, -1.0)
+    assert compiled.pair_stress_terms(*args, got)
+    with np.errstate(all="ignore"):  # non-finite layouts overflow on purpose
+        want = numpy_pair_stress_terms(*args)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestStressMatchesOracle:
@@ -217,6 +246,35 @@ def test_random_layouts_and_pairs_match_oracle(graph_seed, n_nodes, n_paths,
     buf = io.StringIO()
     write_tsv(layout, buf)
     assert buf.getvalue() == ref.write_tsv_text(coords)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+@given(
+    graph_seed=st.integers(min_value=0, max_value=2**16),
+    n_nodes=st.integers(min_value=1, max_value=12),
+    specials=st.lists(st.tuples(st.integers(min_value=0),
+                                st.sampled_from(SPECIAL_COORDS)), max_size=16),
+    coincident=st.booleans(),
+)
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_compiled_terms_keep_numpy_bits_on_special_coordinates(
+        graph_seed, n_nodes, specials, coincident):
+    rng = np.random.default_rng(graph_seed)
+    # Zero-length nodes and repeated steps give d_ref = 0 pairs.
+    graph = LeanGraph.from_paths(
+        node_lengths=rng.integers(0, 4, size=n_nodes).tolist(),
+        paths=[rng.integers(0, n_nodes, size=int(rng.integers(1, 12))).tolist()
+               for _ in range(2)])
+    coords = rng.normal(0.0, 10.0, size=(2 * n_nodes, 2))
+    if coincident:  # both endpoints of every node at one point
+        coords[1::2] = coords[0::2]
+    flat = coords.reshape(-1)
+    for position, value in specials:
+        flat[position % flat.size] = value
+    steps = np.arange(graph.total_steps)
+    flat_i, flat_j = np.repeat(steps, steps.size), np.tile(steps, steps.size)
+    _assert_compiled_bits(coords, graph, flat_i, flat_j)
 
 
 class TestGoldenDocuments:
