@@ -6,10 +6,11 @@ so its results are bit-identical by construction as long as the compiler
 neither contracts nor reassociates (:data:`CFLAGS`).
 
 The library is built once per cache key with the system C compiler. The
-key hashes the source, the flags and the compiler's identity (its resolved
-path and ``stat``, so no compiler runs just to identify itself). The build
-is written atomically (``os.replace``) into this package's ``__pycache__``,
-or into ``~/.cache/repro`` when that is not writable. The library is loaded
+key hashes the source, the flags and the compiler's identity (the path it
+is run by, and the file that path resolves to with its ``stat``, so no
+compiler runs just to identify itself). The build is written atomically
+(``os.replace``) into this package's ``__pycache__``, or into
+``~/.cache/repro`` when that is not writable. The library is loaded
 at the first call of :func:`kernels`, never at import, and is self-tested
 bit for bit against the NumPy reference before any caller sees it. When
 anything fails -- no compiler, a build error, no writable cache, a
@@ -54,11 +55,16 @@ BUILD_TIMEOUT_S = 120.0
 
 
 def find_compiler() -> Optional[str]:
-    """Resolved path of the first C compiler on ``PATH``, or ``None``."""
+    """Path of the first C compiler on ``PATH``, or ``None``.
+
+    The path is not resolved: a wrapper such as ``ccache`` links every
+    compiler name to one file and picks the compiler from the name it is
+    run by.
+    """
     for name in COMPILERS:
         found = shutil.which(name)
         if found:
-            return os.path.realpath(found)
+            return found
     return None
 
 
@@ -70,11 +76,12 @@ def cache_dirs() -> tuple:
 
 def library_name(source: bytes, compiler: str) -> str:
     """File name of the build of ``source`` by ``compiler`` with :data:`CFLAGS`."""
-    st = os.stat(compiler)
+    real = os.path.realpath(compiler)
+    st = os.stat(real)
     key = hashlib.sha256(source)
     key.update("\0".join(CFLAGS).encode())
-    key.update(f"\0{compiler}\0{st.st_dev}\0{st.st_ino}\0{st.st_size}\0"
-               f"{st.st_mtime_ns}".encode())
+    key.update(f"\0{compiler}\0{real}\0{st.st_dev}\0{st.st_ino}\0"
+               f"{st.st_size}\0{st.st_mtime_ns}".encode())
     return f"cext-{key.hexdigest()[:32]}.so"
 
 
@@ -119,11 +126,11 @@ def _vector(a, dtype) -> bool:
             and a.flags.c_contiguous and a.flags.aligned)
 
 
-def build(source: Path = SOURCE, compiler: Optional[str] = None,
+def build(source: Path = SOURCE,
           dirs: Optional[Sequence[Path]] = None) -> Union[Path, str]:
     """Path of the cached build of ``source``, building it if needed, or
     the reason there is none."""
-    compiler = compiler or find_compiler()
+    compiler = find_compiler()
     if compiler is None:
         return f"no C compiler on PATH (tried {', '.join(COMPILERS)})"
     try:

@@ -23,16 +23,6 @@ the SGD, on the same graph with a seeded initial layout:
 * ``svg_ns_per_node`` — best-of-:data:`_REPEATS` wall time of
   ``render_svg`` with path-multiplicity colouring, per node.
 * ``stress_samples`` — pairs the stress evaluation drew (``info``).
-* ``stress_numpy_to_compiled`` — best-of-:data:`_REPEATS` wall time of
-  :func:`~repro.metrics.stress.numpy_pair_stress_terms` over that of the
-  compiled kernel (:mod:`repro.backend.cext`), on one fixed sample of
-  same-path pairs (unit ``x``). The case first asserts that the two give
-  the same bits there. The ratio is dimensionless, but it is recorded as
-  ``info`` until the case is steadied: over 10 runs of the case on a
-  2-core x86-64 container (numpy 2.4.6) it read 4.73–6.39, median 5.94, a
-  spread (max − min over median) of 28%, against the 10% a gated ratio
-  may show. Without the compiled kernels the case records no ratio and
-  says why.
 
 Byte-identity of both outputs with their per-row form is pinned by
 ``tests/test_output_layer.py``, not here.
@@ -46,13 +36,10 @@ import time
 
 import numpy as np
 
-from ...backend import cext
 from ...core.layout import initialize_layout
 from ...graph import LeanGraph, parse_gfa, write_gfa
 from ...memtrack import PeakTracker
 from ...metrics import sampled_path_stress
-from ...metrics.sampled_stress import sample_step_pairs
-from ...metrics.stress import numpy_pair_stress_terms
 from ...render import render_svg
 from ..registry import CaseResult, bench_case
 from ..tables import format_table
@@ -151,31 +138,13 @@ def run_output_layer(ctx) -> CaseResult:
     out.add("svg_ns_per_node", ns_per_node, unit="ns", direction="lower",
             deterministic=False)
     out.add("stress_samples", stress.n_samples, direction="info")
-    rows = [["stress samples", f"{stress.n_samples:,}"],
-            ["sampled path stress (best)", f"{stress_s * 1e3:.0f} ms"],
-            ["ns per sample", f"{ns_per_sample:.0f}"],
-            ["render_svg (best)", f"{svg_s * 1e3:.0f} ms"],
-            ["ns per node", f"{ns_per_node:.0f}"]]
-
-    compiled = cext.kernels()
-    if compiled is None:
-        rows.append(["compiled kernels", cext.status()])
-    else:
-        flat_i, flat_j = sample_step_pairs(
-            graph, samples_per_step=_STRESS_SAMPLES_PER_STEP, seed=seed)
-        args = (layout.coords.reshape(-1), graph.step_nodes,
-                graph.step_positions, flat_i, flat_j)
-        terms = np.empty(flat_i.size)
-        in_contract = compiled.pair_stress_terms(*args, terms)
-        assert in_contract and terms.tobytes() == numpy_pair_stress_terms(*args).tobytes()
-        numpy_s = _best_s(lambda: numpy_pair_stress_terms(*args))
-        compiled_s = _best_s(lambda: compiled.pair_stress_terms(*args, terms))
-        out.add("stress_numpy_to_compiled", numpy_s / compiled_s, unit="x",
-                direction="info", deterministic=False)
-        rows += [["stress terms, NumPy (best)", f"{numpy_s * 1e3:.0f} ms"],
-                 ["stress terms, compiled (best)", f"{compiled_s * 1e3:.0f} ms"]]
     out.tables.append(format_table(
-        ["Quantity", "Value"], rows,
+        ["Quantity", "Value"],
+        [["stress samples", f"{stress.n_samples:,}"],
+         ["sampled path stress (best)", f"{stress_s * 1e3:.0f} ms"],
+         ["ns per sample", f"{ns_per_sample:.0f}"],
+         ["render_svg (best)", f"{svg_s * 1e3:.0f} ms"],
+         ["ns per node", f"{ns_per_node:.0f}"]],
         title="Smoke: output layer (sampled_path_stress + render_svg)",
     ))
     return out

@@ -10,7 +10,9 @@ when no C compiler is on ``PATH``.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,29 @@ class TestBuild:
         assert cext.library_name(text + b"\n", compiler) != name
         monkeypatch.setattr(cext, "CFLAGS", cext.CFLAGS + ("-g",))
         assert cext.library_name(text, compiler) != name
+
+    def test_compiler_runs_by_the_name_found_on_path(self, tmp_path, monkeypatch):
+        # A wrapper linked under each compiler name (ccache, for one) picks
+        # the compiler by the name it was run as: run the link, not its target.
+        real = cext.find_compiler()
+        wrapper = tmp_path / "wrapper"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'case "${{0##*/}}" in cc) exec "{real}" "$@" ;; esac\n'
+            'echo "wrapper: run as $0" >&2\n'
+            "exit 1\n")
+        wrapper.chmod(0o755)
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        (bindir / "cc").symlink_to(wrapper)
+        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+        assert cext.find_compiler() == str(bindir / "cc")
+        text = cext.SOURCE.read_bytes()
+        assert (cext.library_name(text, str(bindir / "cc"))
+                != cext.library_name(text, str(wrapper)))
+        built = cext.build(dirs=[tmp_path / "cache"])
+        assert isinstance(built, Path), built
+        assert isinstance(cext.load(built), cext.CompiledKernels)
 
     def test_unwritable_first_directory_falls_through(self, tmp_path):
         blocker = tmp_path / "file"
