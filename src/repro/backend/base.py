@@ -16,9 +16,10 @@ Two namespaces are exposed on purpose:
   allocates its scratch buffers from.
 * ``host_xp`` — where PRNG-driven *selection* runs. Term selection consumes
   multi-stream PRNGs that produce host arrays, so every current backend
-  keeps selection on NumPy and transfers the selected batch to ``xp`` inside
-  :func:`~repro.core.updates.compute_displacements` (a no-op when
-  ``xp is numpy``). A future device-resident sampler would override this.
+  keeps selection on NumPy and transfers the selected terms to ``xp``
+  inside :func:`~repro.core.updates.prepare_block` (a no-op when
+  ``xp is numpy``); only :attr:`ArrayBackend.fused_device_selection`
+  moves stock-recipe selection onto the device.
 
 Determinism contract: on the default NumPy backend every operation here must
 be *the exact call sequence* the pre-backend code issued, so layouts — and
@@ -80,17 +81,12 @@ class ArrayBackend:
     #: Namespace for PRNG-driven selection (host-side for all current backends).
     host_xp: Any = np
 
-    #: Advertises the fused per-iteration execution path. The generic
-    #: :meth:`run_iteration` below works for any namespace, so the base
-    #: contract is "advertised"; a backend whose namespace cannot support it
-    #: sets this ``False`` and engines fall back to the per-batch loop.
-    supports_fused_iteration: bool = True
-
-    #: When ``True``, :func:`repro.core.fused.run_iteration_host` uploads the
-    #: per-iteration uniform megablock once and runs term *selection* in this
-    #: backend's namespace over a device-resident selection bundle, instead
-    #: of selecting on the host and shipping every batch across. Host
-    #: backends keep the default (their ``xp`` is the host).
+    #: When ``True``, :func:`repro.core.fused.run_iteration_host` uploads a
+    #: stock-recipe chunk's uniform megablock once and runs term *selection*
+    #: in this backend's namespace over a device-resident selection bundle,
+    #: instead of selecting on the host and shipping the terms across. Other
+    #: recipes (the GPU model's per-warp draws, the fixed hop) select on the
+    #: host. Host backends keep the default (their ``xp`` is the host).
     fused_device_selection: bool = False
 
     # ------------------------------------------------------------- memory
@@ -171,24 +167,29 @@ class ArrayBackend:
                       iteration: int):
         """Run one full SGD iteration as a single backend dispatch.
 
-        The fused-path kernel contract (see :mod:`repro.core.fused`): given
-        the run's :class:`~repro.core.fused.FusedIterationPlan`, the
-        coordinate state (in this backend's memory space), the iteration's
-        pre-drawn ``(calls, n_streams)`` uniform megablock and the learning
-        rate, perform selection + displacement + write merge for every
-        planned batch segment *inside this one call* and return
+        The one kernel contract of every engine (see
+        :mod:`repro.core.fused`): given the run's
+        :class:`~repro.core.fused.FusedIterationPlan`, the coordinate state
+        (in this backend's memory space), the iteration's pre-drawn
+        ``(calls, n_streams)`` uniform megablock and the learning rate,
+        perform selection + displacement + write merge for every planned
+        batch segment *inside this one call* and return
         :class:`~repro.core.fused.FusedIterationStats`.
 
         Semantics every implementation must preserve:
 
         * **segments stay sequential** — each term reads coordinates as of
           its segment's start and the per-segment merge is the backend's
-          ordinary ``merge_scatter`` semantics, so fused and unfused runs
-          agree (bit-for-bit on NumPy, ≤1e-9 elsewhere; enforced by the
-          conformance matrix's fused axis);
-        * **stream order** — the megablock is consumed vector-major /
-          call-minor per segment, segments in plan order, i.e. exactly the
-          unfused per-batch draw order.
+          ordinary ``merge_scatter`` semantics, so every backend agrees
+          with the per-batch reference (bit-for-bit on NumPy, ≤1e-9
+          elsewhere; enforced by the conformance matrix);
+        * **stream order** — the megablock is consumed segment after
+          segment in plan order, each segment as the plan's
+          :class:`~repro.core.selection.DrawRecipe` lays it out
+          (vector-major / call-minor), i.e. exactly the historical
+          per-batch draw order;
+        * **history** — a ``probe`` plan reports the first segment's
+          stress, sampled right after that segment's merge.
 
         Under ``LayoutParams.memory_budget`` the engine calls this once per
         budget-sized *chunk* of the iteration's batch plan instead of once
@@ -203,7 +204,8 @@ class ArrayBackend:
         The generic implementation executes through this backend's own
         namespace and kernels (host selection, or device selection when
         :attr:`fused_device_selection` is set); subclasses with a genuinely
-        fused kernel (Numba's single ``@njit`` loop) override it wholesale.
+        fused kernel (Numba's single ``@njit`` loop) override it for the
+        plans that kernel covers and hand the rest back to it.
         """
         from ..core.fused import run_iteration_host  # runtime import: the
         # module dependency points core -> backend, never the reverse.

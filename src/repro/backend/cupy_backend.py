@@ -4,7 +4,7 @@
 coordinates and the merge staging arrays live in device memory; the generic
 :class:`~repro.backend.base.ArrayBackend` arithmetic runs as CUDA kernels.
 Selection stays on the host (``host_xp`` is NumPy — the multi-stream PRNGs
-produce host arrays), and each batch's index/distance inputs are uploaded by
+produce host arrays), and each block's index/distance inputs are uploaded by
 the ``asarray`` calls inside ``prepare_block``; ``to_host`` downloads the
 final coordinates once per run.
 
@@ -16,21 +16,20 @@ Deviations from the generic base:
   occurrence indices, which is deterministic.
 * ``synchronize`` blocks on the current stream so wall-clock timings (the
   perf smoke cases) measure completed work, not launch overhead.
-* The fused iteration path runs with **device-resident selection**
+* Stock-recipe iterations run with **device-resident selection**
   (``fused_device_selection``): the selection arrays are uploaded once per
-  run, each iteration uploads its uniform megablock in one transfer, and
+  run, each chunk uploads its uniform megablock in one transfer, and
   selection + displacement + merge all execute in the ``cupy`` namespace —
-  no per-batch host→device round trip, which is the transfer pattern the
-  unfused loop pays through ``asarray`` in every ``apply_batch``. Selected
+  no per-batch host→device round trip. The GPU model's and the fixed hop's
+  recipes select on the host and upload each block's inputs. Selected
   indices are exact integer arithmetic; the Zipf inverse-CDF uses device
   ``pow``/``exp``, so cross-checks against the host reference are held to
   the conformance matrix's 1e-9, not bit-identity. Note the caveat: a
   device-libm ulp landing on the other side of a ``floor`` boundary would
   flip a *selected pair* (a discrete change, not a rounding one), so the
-  fused conformance axis must be run on real CUDA hardware before trusting
-  device selection on a new driver/toolkit — ``--no-fused`` (or host
-  selection via ``fused_device_selection = False``) is the fallback if it
-  ever trips.
+  conformance matrix must be run on real CUDA hardware before trusting
+  device selection on a new driver/toolkit — host selection via
+  ``fused_device_selection = False`` is the fallback if it ever trips.
 * ``LayoutParams.memory_budget`` bounds *device* transients the same way it
   bounds host ones: the engine dispatches budget-sized chunk plans, each
   chunk's megablock upload and device selection block are sized to the

@@ -15,7 +15,10 @@ what Numba replaces is compiled code for the two hottest dispatch points:
   analogue of the paper's one-kernel-launch-per-iteration design (Sec. V-A).
   The kernel mirrors the NumPy selection/update math operation for
   operation (same IEEE double ops, same accumulation order), so it is held
-  to the conformance matrix's 1e-9 against the unfused reference.
+  to the conformance matrix's 1e-9 against the NumPy reference. It covers
+  stock-recipe plans without a history probe; the GPU model's and the
+  fixed hop's recipes and probing plans run the generic path, with this
+  backend's merge kernel.
 
 Importing this module raises :class:`ImportError` when numba is not
 installed; the registry treats that (and any JIT failure surfaced by the
@@ -78,7 +81,7 @@ def _fused_iteration_kernel(coords, uniforms, plan, need_calls, n_streams,
     displacement against the segment-start coordinates, then merge the
     segment's writes over the compacted touched-point space in the same
     k-ascending accumulation order the bincount-based merges use. Segments
-    are strictly sequential, so staleness semantics match the unfused loop.
+    are strictly sequential, so staleness semantics match the NumPy path.
 
     Returns ``(n_terms, n_point_collisions)``.
     """
@@ -311,7 +314,13 @@ class NumbaBackend(NumpyBackend):
         copies once per run in the chunk-shared scratch — and the kernel's
         own scratch is sized to the plan's largest segment, not its term
         total.
+
+        Only stock-recipe plans without a history probe run here; every
+        other plan goes to the generic
+        :func:`~repro.core.fused.run_iteration_host`.
         """
+        if plan.probe or not plan.recipe.stock:
+            return super().run_iteration(plan, coords, uniforms, eta, iteration)
         # Runtime imports keep the module dependency pointing core -> backend;
         # _MIN_DISTANCE is threaded into the kernel so the coincident-point
         # threshold has a single source of truth with the reference path.
@@ -321,7 +330,7 @@ class NumbaBackend(NumpyBackend):
         static = plan.scratch.get("numba/static")
         if static is None:
             arrays = plan.sampler.arrays
-            params = plan.params
+            params = plan.sampler.params
             static = (
                 np.int64(plan.n_streams),
                 np.ascontiguousarray(arrays.cum_steps.astype(np.int64)),
@@ -343,7 +352,7 @@ class NumbaBackend(NumpyBackend):
         plan_arr, need_calls = args
         (n_streams, cum_steps, path_offsets, path_counts, step_nodes,
          step_positions, zipf_theta, zipf_space_max) = static
-        always = iteration >= plan.params.first_cooling_iteration()
+        always = iteration >= plan.sampler.params.first_cooling_iteration()
         n_terms, n_collisions = _fused_iteration_kernel(
             coords, uniforms, plan_arr, need_calls, n_streams, cum_steps,
             path_offsets, path_counts, step_nodes, step_positions,

@@ -12,7 +12,8 @@ base) is held to the same bar: one vectorised selection pass (every
 selection op is elementwise, so per-term values cannot change) followed by
 the shared block merge, which hoists only coordinate-free work out of the
 segment loop and keeps each segment's displacement and merge expressions —
-making fused layouts byte-identical to unfused ones on this backend. The
+making every engine's layouts byte-identical to the historical per-batch
+loop on this backend (``tests/per_batch_reference.py``). The
 ``last_writer`` merge picks each point's surviving contribution with
 ``np.maximum.at`` (order-free) instead of a repeated-index assignment,
 whose order NumPy leaves unspecified; the survivor is the same highest-index

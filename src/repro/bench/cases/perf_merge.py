@@ -34,7 +34,7 @@ from .perf_fused import _ITER_MAX, _best_run
 def run_segment_merge(ctx) -> CaseResult:
     """Blocked segment merge: same layout as one-segment blocks, µs/segment."""
     graph = ctx.chr1_graph
-    params = ctx.smoke_params.with_(iter_max=_ITER_MAX, fused=True)
+    params = ctx.smoke_params.with_(iter_max=_ITER_MAX)
     tracers = []
 
     def traced_engine():

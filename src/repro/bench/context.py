@@ -46,8 +46,7 @@ class BenchContext:
     """Datasets, layout parameters and derived seeds shared by bench cases."""
 
     def __init__(self, master_seed: int = DEFAULT_MASTER_SEED,
-                 backend: Optional[str] = None,
-                 fused: Optional[bool] = None) -> None:
+                 backend: Optional[str] = None) -> None:
         if not 0 <= int(master_seed) < 2**63:
             raise ValueError("master_seed must be a non-negative 63-bit integer")
         self.master_seed = int(master_seed)
@@ -55,11 +54,6 @@ class BenchContext:
         # before any case runs, with the registry's recorded reason.
         self.backend_name = resolve_backend_name(backend)
         self.backend: ArrayBackend = get_backend(self.backend_name)
-        # Fused-iteration override threaded into every case's layout params
-        # (None = auto; see LayoutParams.fused). Layouts — and therefore the
-        # deterministic metrics — are identical either way on numpy; the
-        # override exists so the perf cases can be pinned to one path.
-        self.fused = fused
         self._graphs: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ seeds
@@ -81,23 +75,20 @@ class BenchContext:
         calibrated legacy trajectories exactly.
         """
         return LayoutParams(iter_max=10, steps_per_step_unit=2.0,
-                            seed=self.master_seed, backend=self.backend_name,
-                            fused=self.fused)
+                            seed=self.master_seed, backend=self.backend_name)
 
     @property
     def quality_bench_params(self) -> LayoutParams:
         """Stronger schedule used when layout quality (not speed) is measured."""
         return LayoutParams(iter_max=20, steps_per_step_unit=4.0,
-                            seed=self.master_seed, backend=self.backend_name,
-                            fused=self.fused)
+                            seed=self.master_seed, backend=self.backend_name)
 
     @property
     def smoke_params(self) -> LayoutParams:
         """Minimal schedule for the CI smoke gate (tiny graphs, seconds total)."""
         return LayoutParams(iter_max=6, steps_per_step_unit=1.5,
                             seed=self.seed_for("params/smoke"),
-                            backend=self.backend_name,
-                            fused=self.fused)
+                            backend=self.backend_name)
 
     @property
     def scale_params(self) -> LayoutParams:
@@ -113,8 +104,7 @@ class BenchContext:
         return LayoutParams(iter_max=2, steps_per_step_unit=0.2,
                             simulated_threads=64,
                             seed=self.seed_for("params/scale"),
-                            backend=self.backend_name,
-                            fused=self.fused)
+                            backend=self.backend_name)
 
     # --------------------------------------------------------------- datasets
     def _cached(self, key: str, build):

@@ -145,7 +145,6 @@ def run_suite(
     echo: Callable[[str], None] = print,
     show_tables: bool = False,
     backend: Optional[str] = None,
-    fused: Optional[bool] = None,
     profile: bool = False,
 ) -> Dict:
     """Run every case of ``suite`` and return (and optionally write) results.
@@ -165,7 +164,7 @@ def run_suite(
     if not cases:
         raise SuiteRunError(f"suite {suite!r} resolved to zero cases")
 
-    ctx = BenchContext(master_seed=master_seed, backend=backend, fused=fused)
+    ctx = BenchContext(master_seed=master_seed, backend=backend)
     echo(f"bench run: suite={suite} cases={len(cases)} master_seed={master_seed} "
          f"warmup={warmup} repeats={repeats} backend={ctx.backend_name}")
     profile_dir = None
@@ -216,11 +215,9 @@ def run_suite(
         "environment": environment_fingerprint(),
         # ``backend`` is runner metadata, not part of the timing-environment
         # fingerprint: documents produced before the key existed still
-        # compare cleanly against new ones. ``fused`` is recorded only when
-        # explicitly overridden, for the same reason.
+        # compare cleanly against new ones.
         "runner": {"warmup": warmup, "repeats": repeats,
-                   "backend": ctx.backend_name,
-                   **({"fused": fused} if fused is not None else {})},
+                   "backend": ctx.backend_name},
         "cases": case_docs,
     }
     echo(f"suite {suite!r} complete in {time.perf_counter() - suite_t0:.2f}s: "

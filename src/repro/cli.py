@@ -25,9 +25,8 @@ Subcommands:
   records: ``summarize`` prints the per-phase time breakdown of one trace,
   ``compare`` diffs two traces phase by phase.
 
-For backward compatibility, invoking the CLI with the historical flat
-``repro-layout`` flags (no subcommand) still works: ``repro --gfa in.gfa``
-is rewritten to ``repro layout --gfa in.gfa``.
+Any other first argument prints these four subcommands and exits 2. The
+``repro-layout`` script runs ``repro layout`` directly.
 """
 from __future__ import annotations
 
@@ -37,6 +36,7 @@ from typing import List, Optional, Sequence
 
 from .backend import backend_names
 from .core import GpuKernelConfig, layout_graph
+from .core.params import warn_fused_deprecated
 from .graph import LeanGraph, parse_gfa, validate_lean
 from .io import write_lay, write_tsv
 from .metrics import sampled_path_stress
@@ -92,13 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "fail fast with the recorded reason)")
     parser.add_argument("--fused", action=argparse.BooleanOptionalAction,
                         default=None,
-                        help="fused per-iteration execution path: run each "
-                             "SGD iteration as one backend dispatch instead "
-                             "of one sampler/update round trip per batch "
-                             "(default: auto — on when the backend "
-                             "advertises a fused kernel; --no-fused forces "
-                             "the per-batch loop; layouts are byte-identical "
-                             "either way on the numpy backend)")
+                        help="deprecated, no effect: every run takes the "
+                             "fused iteration")
     parser.add_argument("--simulated-threads", dest="simulated_threads",
                         type=int, default=1,
                         help="emulated Hogwild thread count for the CPU "
@@ -273,9 +268,8 @@ def build_bench_parser() -> argparse.ArgumentParser:
                             "params (default: $REPRO_BACKEND or numpy)")
     run_p.add_argument("--fused", action=argparse.BooleanOptionalAction,
                        default=None,
-                       help="fused per-iteration execution path, threaded "
-                            "through every case's layout params (default: "
-                            "auto; --no-fused forces the per-batch loop)")
+                       help="deprecated, no effect: every run takes the "
+                            "fused iteration")
     run_p.add_argument("--out", default=None,
                        help="output path (default: BENCH_<suite>.json in the CWD)")
     run_p.add_argument("--tables", action="store_true",
@@ -315,6 +309,8 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_bench_parser().parse_args(argv)
     try:
         if args.bench_command == "run":
+            if args.fused is not None:
+                warn_fused_deprecated()
             run_suite(
                 args.suite,
                 master_seed=args.seed,
@@ -323,7 +319,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
                 out_path=args.out,
                 show_tables=args.tables,
                 backend=args.backend,
-                fused=args.fused,
                 profile=args.profile,
             )
             return 0
@@ -461,30 +456,31 @@ def trace_main(argv: Optional[Sequence[str]] = None) -> int:
     raise AssertionError("unreachable")
 
 
-#: Subcommands of the top-level ``repro`` program.
-_COMMANDS = ("layout", "bench", "analyze", "trace")
+#: The top-level ``repro`` program's subcommands and their entry points.
+_SUBCOMMANDS = {
+    "layout": layout_main,
+    "bench": bench_main,
+    "analyze": analyze_main,
+    "trace": trace_main,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Top-level CLI dispatch; returns the process exit code.
 
-    ``repro layout ...`` and ``repro bench ...`` dispatch to the subcommands;
-    any other leading argument falls back to the historical flat
-    ``repro-layout`` interface for backward compatibility.
+    The first argument names the subcommand. ``-h``/``--help`` print this
+    module's overview; anything else prints the subcommands and exits 2.
     """
     args: List[str] = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "bench":
-        return bench_main(args[1:])
-    if args and args[0] == "analyze":
-        return analyze_main(args[1:])
-    if args and args[0] == "trace":
-        return trace_main(args[1:])
-    if args and args[0] == "layout":
-        return layout_main(args[1:])
-    if args and args[0] in ("-h", "--help") and argv is None:
+    if args and args[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[args[0]](args[1:])
+    if args and args[0] in ("-h", "--help"):
         print(__doc__)
         return 0
-    return layout_main(args)
+    got = f"unknown command {args[0]!r}" if args else "missing command"
+    print(f"repro: {got}; choose one of: {', '.join(_SUBCOMMANDS)}",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -67,7 +67,7 @@ def make_engine(
         ``engine.on_progress`` afterwards is equivalent.
     overrides:
         Per-call :class:`LayoutParams` field overrides applied on top of
-        ``params`` (e.g. ``workers=4``, ``fused=False``); unknown names
+        ``params`` (e.g. ``workers=4``, ``seed=7``); unknown names
         raise ``TypeError``.
     """
     lean = _as_lean(graph)
@@ -115,7 +115,7 @@ def layout_graph(
     require hand-building a frozen dataclass::
 
         layout_graph(graph, workers=4)            # process-parallel run
-        layout_graph(graph, engine="gpu", fused=False, seed=7)
+        layout_graph(graph, engine="gpu", seed=7)
 
     Routing on the resolved params:
 

@@ -6,10 +6,12 @@ serialisation — runs Alg. 1 through :meth:`LayoutEngine.run`: for each
 iteration take the scheduled learning rate, advance the run by one
 iteration, and account it. An engine supplies only its :meth:`session`:
 the set-up before the first iteration, the per-iteration step, and the
-tear-down after the last. The fused chunk loop every step bottoms out in
-is :func:`step_units`. The engines differ in batch granularity, in how
-randomness is organised (per thread / per warp / per worker), and in which
-hardware counters they expose — what the paper varies.
+tear-down after the last. Every step bottoms out in :func:`step_units`,
+one megablock draw and one ``backend.run_iteration`` per chunk. The
+engines differ in batch granularity (their batch plan), in how randomness
+is organised (per thread / per warp / per worker, their
+:class:`~repro.core.selection.DrawRecipe`), and in which hardware counters
+they expose — what the paper varies.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from .fused import FusedIterationPlan, build_iteration_plans
 from .layout import Layout, NodeDataLayout, initialize_layout
 from .params import LayoutParams
 from .schedule import make_schedule
-from .selection import PairSampler, StepBatch
-from .updates import UpdateWorkspace, apply_batch, batch_stress
+from .selection import STOCK_RECIPE, DrawRecipe, PairSampler
+from .updates import UpdateWorkspace
 
 __all__ = ["IterationRecord", "LayoutResult", "LayoutEngine",
            "ProgressCallback", "Session", "StepStats", "Unit",
@@ -73,8 +75,7 @@ Unit = Tuple[Xoshiro256Plus, List[FusedIterationPlan]]
 
 
 def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
-               iteration: int, tracer: Tracer,
-               t0: float) -> Tuple[int, int, int]:
+               iteration: int, tracer: Tracer, t0: float) -> "StepStats":
     """Advance every unit by one fused iteration, chunk by chunk, in order.
 
     Each chunk is one ``rng.next_double_block`` draw and one
@@ -84,7 +85,8 @@ def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
     One ``draw``/``dispatch`` span pair, stamped ``t0``, covers all chunks:
     O(iterations) events regardless of chunk count, and one guarded clock
     read pair per chunk keeps the untraced path at a single bool test.
-    Returns ``(terms, point collisions, chunks)``.
+    Returns the terms, point collisions and chunks, and the stress a
+    probing chunk sampled.
     """
     trace = tracer.enabled
     draw_s = 0.0
@@ -92,6 +94,7 @@ def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
     n_terms = 0
     n_collisions = 0
     n_chunks = 0
+    stress = None
     for rng, plans in units:
         n_chunks += len(plans)
         for chunk in plans:
@@ -104,10 +107,12 @@ def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
                 disp_s += tracer.now() - c1
             n_terms += stats.n_terms
             n_collisions += stats.n_point_collisions
+            if stats.stress is not None:
+                stress = stats.stress
     if trace:
         tracer.emit("draw", t0, draw_s, iteration, count=n_chunks)
         tracer.emit("dispatch", t0, disp_s, iteration, count=n_chunks)
-    return n_terms, n_collisions, n_chunks
+    return StepStats(n_terms, n_collisions, n_chunks, stress=stress)
 
 
 class StepStats(NamedTuple):
@@ -115,13 +120,13 @@ class StepStats(NamedTuple):
 
     terms: int
     collisions: int
-    #: Backend dispatches (fused chunks or batches) the iteration took.
+    #: Backend dispatches (fused chunks) the iteration took.
     dispatches: int
     #: Live workers of a parallel run: the ``iteration`` span's count and
     #: the progress hook's ``workers``; ``None`` on a single process.
     workers: Optional[int] = None
-    #: Sampled stress of the iteration's first batch for the history; only
-    #: unfused steps under ``record_history`` probe it.
+    #: Stress of the iteration's first segment right after its merge, for
+    #: the history; only flat runs under ``record_history`` probe it.
     stress: Optional[float] = None
 
 
@@ -269,58 +274,16 @@ class LayoutEngine:
         """PRNG used to drive the sampler (engines may override stream count)."""
         return Xoshiro256Plus(self.params.seed, n_streams=256)
 
-    def on_batch(self, batch: StepBatch, iteration: int, batch_index: int) -> StepBatch:
-        """Hook for engines to transform or account a batch before applying it."""
-        return batch
-
-    def draw_batch(
-        self, rng: Xoshiro256Plus, batch_size: int, iteration: int, batch_index: int
-    ) -> StepBatch:
-        """Draw one batch of update terms (engines may override the policy)."""
-        return self.sampler.sample(rng, batch_size, iteration)
+    #: What each plan segment draws and how its terms are selected
+    #: (:class:`~repro.core.selection.DrawRecipe`); the GPU model and the
+    #: fixed-hop run set their own.
+    recipe: DrawRecipe = STOCK_RECIPE
 
     def make_workspace(self, plan: List[int]) -> UpdateWorkspace:
-        """Per-run scratch buffers sized to the largest batch of ``plan``.
-
-        Engines whose :meth:`on_batch` expands batches beyond the planned
-        size (e.g. warp-shuffle data reuse) override this to pre-size the
-        buffers; the workspace also grows on demand, so an override is an
-        optimisation, not a correctness requirement. The workspace carries
-        the engine's backend, which fixes where its buffers are allocated
-        and which kernels every ``apply_batch`` of the run dispatches to.
-        """
-        return UpdateWorkspace(max(plan) if plan else 1, backend=self.backend)
-
-    def fused_active(self) -> bool:
-        """Whether this run takes the fused per-iteration execution path.
-
-        ``params.fused`` resolves as: ``False`` — never; ``True``/``None``
-        (auto) — fused when every precondition holds:
-
-        * the backend advertises a fused kernel
-          (``backend.supports_fused_iteration``);
-        * the engine uses the stock batch hooks — any override of
-          :meth:`draw_batch` or :meth:`on_batch` (kernel-launch accounting,
-          warp merging, data reuse) forces the unfused path, because the
-          fused kernel never materialises per-batch hook calls;
-        * history recording is off (the per-iteration stress probe samples
-          the first *batch*, which only exists unfused).
-
-        An explicit ``fused=True`` that cannot be honoured falls back to the
-        unfused path rather than erroring — the fused path is an execution
-        strategy, not a semantic switch (layouts agree either way).
-        """
-        if self.params.fused is False:
-            return False
-        hooks_are_default = (
-            type(self).draw_batch is LayoutEngine.draw_batch
-            and type(self).on_batch is LayoutEngine.on_batch
-        )
-        return (
-            hooks_are_default
-            and not self.params.record_history
-            and getattr(self.backend, "supports_fused_iteration", False)
-        )
+        """Per-run scratch buffers sized to the largest segment of ``plan``
+        as data reuse expands it, on the engine's backend."""
+        return UpdateWorkspace(max(plan) * self.recipe.reuse if plan else 1,
+                               backend=self.backend)
 
     # ------------------------------------------------------------------ run
     def run(self, initial: Optional[Layout] = None) -> LayoutResult:
@@ -419,69 +382,38 @@ class LayoutEngine:
         rng = self.make_rng()
         steps_per_iter = params.steps_per_iteration(self.graph.total_steps)
         # The plan depends only on the per-iteration step budget, so it is
-        # computed once; its largest batch sizes the per-run scratch buffers
-        # every apply_batch call of the run reuses (no graph-sized scratch
-        # and no re-allocation of the staging arrays in the memory-bound hot
+        # computed once; its largest segment sizes the per-run scratch
+        # buffers every merge of the run reuses (no graph-sized scratch and
+        # no re-allocation of the staging arrays in the memory-bound hot
         # path, paper Sec. V-B).
         plan = self.batch_plan(steps_per_iter)
         workspace = self.make_workspace(plan)
         merge = self.merge_policy()
-        # Fused path: the whole iteration — selection, displacement, merge —
-        # runs below the backend seam over pre-drawn uniform megablocks
-        # (repro.core.fused) instead of a sample/apply_batch round trip per
-        # batch. Without a memory budget that is one plan covering the whole
-        # batch plan (one dispatch per iteration, PR 5 economics); with
+        # The whole iteration — selection, displacement, merge — runs below
+        # the backend seam over pre-drawn uniform megablocks
+        # (repro.core.fused). Without a memory budget that is one plan
+        # covering the whole batch plan (one dispatch per iteration); with
         # params.memory_budget the plan is split into contiguous segment
         # chunks dispatched in order, bounding the per-dispatch transient
         # footprint while staying byte-identical on the NumPy backend.
-        fused = bool(plan) and self.fused_active()
-        if fused:
-            units = [(rng, build_iteration_plans(
-                sampler=self.sampler,
-                workspace=workspace,
-                merge=merge,
-                plan=plan,
-                n_streams=rng.n_streams,
-                memory_budget=params.memory_budget,
-                tracer=tracer,
-            ))]
-            self.max_counter("fused_chunks", float(len(units[0][1])))
+        units = [(rng, build_iteration_plans(
+            sampler=self.sampler,
+            workspace=workspace,
+            merge=merge,
+            plan=plan,
+            n_streams=rng.n_streams,
+            memory_budget=params.memory_budget,
+            tracer=tracer,
+            recipe=self.recipe,
+            probe=params.record_history,
+        ))]
+        self.max_counter("fused_chunks", float(len(units[0][1])))
 
-            def step(eta: float, iteration: int, t_iter: float) -> StepStats:
-                return StepStats(*step_units(units, self.backend, coords, eta,
-                                             iteration, tracer, t_iter))
-        else:
-            def step(eta: float, iteration: int, t_iter: float) -> StepStats:
-                n_terms = 0
-                n_collisions = 0
-                stress = 0.0
-                draw_s = 0.0
-                disp_s = 0.0
-                for batch_index, batch_size in enumerate(plan):
-                    c0 = tracer.now() if trace else 0.0
-                    batch = self.draw_batch(rng, batch_size, iteration, batch_index)
-                    batch = self.on_batch(batch, iteration, batch_index)
-                    c1 = tracer.now() if trace else 0.0
-                    stats = apply_batch(coords, batch, eta, merge=merge,
-                                        workspace=workspace)
-                    if trace:
-                        draw_s += c1 - c0
-                        disp_s += tracer.now() - c1
-                    n_collisions += stats.n_point_collisions
-                    n_terms += stats.n_terms
-                    if params.record_history and batch_index == 0:
-                        stress = batch_stress(coords, batch,
-                                              backend=self.backend)
-                if trace:
-                    tracer.emit("draw", t_iter, draw_s, iteration,
-                                count=len(plan))
-                    tracer.emit("dispatch", t_iter, disp_s, iteration,
-                                count=len(plan))
-                return StepStats(n_terms, n_collisions, len(plan),
-                                 stress=stress if params.record_history
-                                 else None)
-        self.add_counter("fused_iterations",
-                         float(params.iter_max if fused else 0))
+        def step(eta: float, iteration: int, t_iter: float) -> StepStats:
+            return step_units(units, self.backend, coords, eta, iteration,
+                              tracer, t_iter)
+
+        self.add_counter("fused_iterations", float(params.iter_max))
         if trace:
             tracer.emit("schedule", t_sched, tracer.now() - t_sched)
         # Peak-memory accounting: max RSS always (cheap getrusage read);

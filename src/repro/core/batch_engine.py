@@ -12,26 +12,29 @@ back. That design has two structural properties the paper measures:
   their memory access pattern is irregular (Fig. 7).
 
 :class:`BatchedLayoutEngine` reproduces both: it runs the numerically
-identical batched update with NumPy, counts the tensor-op kernel launches it
-would have issued, and attributes modelled time to each op class using a
-bytes-moved / effective-bandwidth cost model so the breakdown percentages can
-be compared to Fig. 7.
+identical batched update through the same fused iteration as every engine
+(its batch plan's segments are the tensor batches), derives the tensor-op
+kernel launches the PyTorch formulation would have issued from that plan,
+and attributes modelled time to each op class using a bytes-moved /
+effective-bandwidth cost model so the breakdown percentages can be compared
+to Fig. 7.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..graph.lean import LeanGraph
 from ..prng.xoshiro import Xoshiro256Plus
-from .base import LayoutEngine, split_into_batches
-from .layout import NodeDataLayout
+from .base import LayoutEngine, Session, split_into_batches
+from .layout import Layout, NodeDataLayout
 from .params import LayoutParams
-from .selection import StepBatch
 
-__all__ = ["KernelOp", "OpProfile", "BatchedLayoutEngine", "PYTORCH_OP_SEQUENCE"]
+__all__ = ["KernelOp", "OpProfile", "BatchedLayoutEngine", "PYTORCH_OP_SEQUENCE",
+           "LAUNCHES_PER_BATCH"]
 
 #: Tensor-op kernels issued per batch by the PyTorch formulation of the
 #: update, with the bytes each moves per batch element and the relative
@@ -53,6 +56,10 @@ PYTORCH_OP_SEQUENCE: List[tuple] = [
     ("index", 2, 64, 0.18),      # scatter updates back to both endpoints
     ("reduction", 1, 8, 0.8),    # batch loss reduction (monitoring)
 ]
+
+#: Kernel launches one batch issues: the launch column of
+#: :data:`PYTORCH_OP_SEQUENCE`.
+LAUNCHES_PER_BATCH = sum(launches for _, launches, _, _ in PYTORCH_OP_SEQUENCE)
 
 
 @dataclass
@@ -138,19 +145,25 @@ class BatchedLayoutEngine(LayoutEngine):
     def batch_plan(self, steps_per_iteration: int) -> List[int]:
         return split_into_batches(steps_per_iteration, self.params.batch_size)
 
-    def on_batch(self, batch: StepBatch, iteration: int, batch_index: int) -> StepBatch:
-        # Overriding this hook is what forces the unfused per-batch path
-        # (LayoutEngine.fused_active): the whole point of this engine is its
-        # per-batch kernel-launch accounting, which a fused iteration would
-        # never trigger — exactly the Table IV contrast being modelled.
-        self.op_profile.record_batch(len(batch))
-        self.add_counter("kernel_launches", float(len(PYTORCH_OP_SEQUENCE)))
-        return batch
+    @contextmanager
+    def session(self, layout: Layout) -> Iterator[Session]:
+        """The flat session, then each iteration's launch accounting: a
+        function of the batch plan, every batch recorded in
+        :attr:`op_profile` in plan order and counted in ``kernel_launches``
+        — the Table IV contrast being modelled."""
+        with super().session(layout) as session:
+            yield session
+        plan = self.batch_plan(
+            self.params.steps_per_iteration(self.graph.total_steps))
+        for _ in range(self.params.iter_max):
+            for size in plan:
+                self.op_profile.record_batch(size)
+        self.add_counter("kernel_launches", float(
+            self.params.iter_max * len(plan) * LAUNCHES_PER_BATCH))
 
     # ------------------------------------------------------------- analysis
     def kernel_launches_for(self, total_terms: int) -> int:
         """Kernel launches needed to process ``total_terms`` at the current batch size."""
         batch = self.params.batch_size
         n_batches = int(np.ceil(total_terms / batch))
-        per_batch = sum(launches for _, launches, _, _ in PYTORCH_OP_SEQUENCE)
-        return n_batches * per_batch
+        return n_batches * LAUNCHES_PER_BATCH

@@ -18,11 +18,11 @@ Two modes are provided:
   reference used by the test-suite on tiny graphs to validate that the
   batched engines do not change the optimisation semantics.
 
-Both engines keep the stock ``draw_batch``/``on_batch`` hooks, so they are
-eligible for the fused per-iteration execution path
-(:mod:`repro.core.fused`) whenever the backend advertises it — fused and
-unfused runs are byte-identical on the NumPy backend, including the serial
-engine's one-term "segments".
+Both engines draw the stock recipe and run through the fused
+per-iteration path (:mod:`repro.core.fused`) like every engine; the serial
+engine's segments are one term each. Its fixed-hop run
+(:meth:`SerialReferenceEngine.run_fixed_hop`) swaps in the 4-vector
+fixed-hop recipe.
 
 The engine also exposes :meth:`CpuBaselineEngine.access_trace`, which
 replays a sample of update terms into byte-level memory addresses under
@@ -40,7 +40,7 @@ from ..prng.xoshiro import Xoshiro256Plus
 from .base import LayoutEngine, LayoutResult, split_into_batches
 from .layout import NodeDataLayout, node_record_addresses
 from .params import LayoutParams
-from .selection import StepBatch
+from .selection import DrawRecipe
 
 __all__ = ["CpuBaselineEngine", "SerialReferenceEngine"]
 
@@ -133,10 +133,8 @@ class SerialReferenceEngine(LayoutEngine):
 
 class _FixedHopRun(SerialReferenceEngine):
     """A serial engine's run with fixed-hop sampling: per iteration, one
-    batch of the whole step budget drawn by ``sample_fixed_hop``.
-
-    Overriding :meth:`draw_batch` keeps the run on the unfused path.
-    """
+    segment of the whole step budget, drawn and selected by the fixed-hop
+    recipe (``sample_fixed_hop``'s 4 vectors)."""
 
     name = f"{SerialReferenceEngine.name}-fixed-hop"
 
@@ -144,11 +142,9 @@ class _FixedHopRun(SerialReferenceEngine):
         # The run shares the engine's state — graph, sampler, schedule,
         # metrics, tracer, progress hook — and reports into it as run() does.
         vars(self).update(vars(engine))
-        self.hop = hop
+        if hop < 1:
+            raise ValueError("hop must be >= 1")
+        self.recipe = DrawRecipe(hop=hop)
 
     def batch_plan(self, steps_per_iteration: int) -> List[int]:
         return [steps_per_iteration]
-
-    def draw_batch(self, rng: Xoshiro256Plus, batch_size: int, iteration: int,
-                   batch_index: int) -> StepBatch:
-        return self.sampler.sample_fixed_hop(rng, batch_size, self.hop)

@@ -1,14 +1,10 @@
-"""Fused per-iteration execution path: one backend dispatch per iteration.
+"""The fused iteration: one backend dispatch per iteration chunk.
 
 The paper's headline speedup comes from running an entire SGD iteration as a
 *single* CUDA kernel launch (Sec. V; Table IV counts the launches), where the
 batched tensor formulation pays per-batch launch overhead. The Python
-analogue of that overhead is interpreter dispatch: the classic
-:meth:`~repro.core.base.LayoutEngine.run` loop crosses the engine→backend
-seam once per batch (``sampler.sample`` → ``apply_batch``), and on
-Chr.1-like graphs that dispatch now rivals the O(batch) numeric work.
-
-The fused path hoists the whole iteration below the backend seam:
+analogue of that overhead is interpreter dispatch, so every engine runs its
+iterations below the backend seam:
 
 1. the engine pre-draws the iteration's full term budget as one uniform
    megablock (:meth:`~repro.prng.xoshiro.Xoshiro256Plus.next_double_block`),
@@ -18,21 +14,19 @@ The fused path hoists the whole iteration below the backend seam:
    planned batch segment internally, and
 3. receives aggregate :class:`FusedIterationStats` back.
 
-Segment semantics are *unchanged*: segments execute sequentially, each term
-reads the coordinates as of its segment's start, and the write merge per
-segment is the same hogwild/accumulate/last_writer scatter — so the fused
-path is a re-sequencing of the historical computation, not a new algorithm.
-Runs of equal-size segments are merged as blocks (:func:`block_plan`): the
-work that reads no coordinate is computed once per block, and the
-coordinate work still runs segment by segment in plan order. The unfused
-loop merges through the same kernel with one-segment blocks (only the
-per-batch *statistics* reductions differ, which touch no coordinate
-state), so on the NumPy backend fused layouts are byte-identical to
-unfused ones; other backends are held to the conformance matrix's 1e-9.
+The plan's :class:`~repro.core.selection.DrawRecipe` fixes what each
+segment draws: the stock 8 vectors, the GPU model's per-warp cooling and
+path draws before them, or the fixed hop's 4. The megablock consumes the
+PRNG streams segment after segment in the order the engines' historical
+per-batch draws did, so every engine samples the terms it always sampled.
 
-The megablock consumes the PRNG streams in the exact order the per-batch
-draws did (vector-major, call-minor per segment, segments in plan order), so
-fused and unfused runs see identical sampled terms.
+Segments execute sequentially: each term reads the coordinates as of its
+segment's start, and the write merge per segment is the hogwild/accumulate/
+last_writer scatter. Runs of equal-size segments are merged as blocks
+(:func:`block_plan`): the work that reads no coordinate is computed once per
+block, and the coordinate work still runs segment by segment in plan order,
+so blocks change no value. Under data reuse the blocks are built over the
+expanded segments.
 
 Memory is bounded, not O(iteration). The whole-iteration megablock costs
 ~:data:`FUSED_BYTES_PER_TERM` bytes of transient state per term, which is
@@ -53,9 +47,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .params import LayoutParams
-from .selection import PairSampler, SelectionArrays
-from .updates import UpdateWorkspace, merge_batch
+from .selection import STOCK_RECIPE, DrawRecipe, PairSampler, SelectionArrays, StepBatch
+from .updates import UpdateWorkspace, batch_stress, merge_batch
 
 __all__ = [
     "BLOCK_TERMS",
@@ -65,19 +58,16 @@ __all__ = [
     "block_plan",
     "build_iteration_plans",
     "chunk_spans",
+    "draw_segment",
     "uniform_call_plan",
     "run_iteration_host",
     "slice_plan",
 ]
 
-#: Uniform vectors consumed per term by the default selection branch
-#: (6 path/cooling/pair vectors + 2 endpoint coin flips).
-SAMPLE_VECTORS = 8
-
 #: Conservative estimate of the fused path's peak transient bytes per term,
 #: used by :func:`chunk_spans` to turn a byte budget into a term budget. The
 #: dominant residents while a chunk is in flight: the uniform megablock
-#: (``SAMPLE_VECTORS × 8`` = 64 B/term), the re-laid selection block (64),
+#: (8 vectors × 8 B = 64 B/term), the re-laid selection block (64),
 #: its transpose/reshape temporary (64), and the selection pass's per-term
 #: index/distance vectors plus the StepBatch views (~190). Measured peaks on
 #: the ``scale`` bench suite sit below this figure; keeping the estimate
@@ -95,19 +85,19 @@ FUSED_BYTES_PER_TERM = 384
 BLOCK_TERMS = 4096
 
 
-def uniform_call_plan(plan: List[int], n_streams: int) -> Tuple[np.ndarray, int]:
+def uniform_call_plan(plan: List[int], n_streams: int,
+                      recipe: DrawRecipe = STOCK_RECIPE
+                      ) -> Tuple[np.ndarray, int]:
     """PRNG calls each batch segment consumes from the per-iteration megablock.
 
     Segment ``s`` of ``plan[s]`` terms needs ``ceil(plan[s] / n_streams)``
-    calls per uniform vector, hence ``SAMPLE_VECTORS ×`` that many calls in
-    total — exactly what the unfused per-batch ``PairSampler._uniforms``
-    would have drawn, in the same stream order. Returns the per-segment
-    per-vector call counts and the iteration's total call count.
+    calls per per-term vector, plus ``recipe``'s per-warp vectors. Returns
+    the per-segment per-vector call counts and the chunk's total.
     """
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
     need = np.asarray([-(-int(b) // n_streams) for b in plan], dtype=np.int64)
-    return need, int(SAMPLE_VECTORS * need.sum())
+    return need, sum(recipe.segment_calls(b, n_streams) for b in plan)
 
 
 def block_plan(plan: List[int]) -> List[Tuple[int, int]]:
@@ -209,6 +199,8 @@ def build_iteration_plans(sampler: PairSampler, workspace: UpdateWorkspace,
                           merge: str, plan: List[int], n_streams: int,
                           memory_budget: Optional[int] = None,
                           tracer=None,
+                          recipe: DrawRecipe = STOCK_RECIPE,
+                          probe: bool = False,
                           ) -> List["FusedIterationPlan"]:
     """One :class:`FusedIterationPlan` per budget chunk, in plan order.
 
@@ -231,16 +223,21 @@ def build_iteration_plans(sampler: PairSampler, workspace: UpdateWorkspace,
     ``next_double_block``), so the sequential per-chunk draws consume
     exactly the stream state one whole-iteration draw would have — chunked
     execution is byte-identical to unchunked on the NumPy backend.
+
+    Every chunk draws by ``recipe`` (data reuse counts each base term
+    ``reuse`` times against the budget); ``probe`` goes to the first chunk.
     """
     plan = [int(b) for b in plan]
-    spans = chunk_spans(plan, memory_budget)
+    spans = chunk_spans(plan, memory_budget,
+                        FUSED_BYTES_PER_TERM * recipe.reuse)
     if not spans:
         spans = [(0, 0)]
     scratch: Dict[str, object] = {}
     return [
         FusedIterationPlan(sampler=sampler, workspace=workspace, merge=merge,
                            plan=plan[start:end], n_streams=n_streams,
-                           scratch=scratch, tracer=tracer)
+                           scratch=scratch, tracer=tracer, recipe=recipe,
+                           probe=probe and start == 0)
         for start, end in spans
     ]
 
@@ -251,6 +248,8 @@ class FusedIterationStats:
 
     n_terms: int
     n_point_collisions: int
+    #: The first segment's stress from a probing plan, else ``None``.
+    stress: Optional[float] = None
 
 
 @dataclass
@@ -276,7 +275,8 @@ class FusedIterationPlan:
     n_streams: int
     need_calls: np.ndarray = field(init=False)
     calls_per_iteration: int = field(init=False)
-    #: Merge blocks of :attr:`plan` (:func:`block_plan`).
+    #: Merge blocks of :attr:`plan` (:func:`block_plan`) as data reuse
+    #: expands its segments.
     blocks: List[Tuple[int, int]] = field(init=False)
     cache: Dict[str, object] = field(default_factory=dict)
     scratch: Dict[str, object] = field(default_factory=dict)
@@ -285,25 +285,21 @@ class FusedIterationPlan:
     #: execution attributes selection/merge time per chunk; ``None`` or a
     #: disabled tracer costs one attribute read per run_iteration call.
     tracer: Optional[object] = None
+    recipe: DrawRecipe = STOCK_RECIPE
+    #: Sample the first segment's stress right after its merge (the
+    #: ``record_history`` probe); that segment is then a block of its own.
+    probe: bool = False
 
     def __post_init__(self) -> None:
         self.plan = [int(b) for b in self.plan]
         if any(b < 1 for b in self.plan):
             raise ValueError("batch plan segments must all be >= 1")
         self.need_calls, self.calls_per_iteration = uniform_call_plan(
-            self.plan, self.n_streams)
-        self.blocks = block_plan(self.plan)
-
-    # ------------------------------------------------------------ accessors
-    @property
-    def params(self) -> LayoutParams:
-        """Layout parameters governing selection (zipf/cooling knobs)."""
-        return self.sampler.params
-
-    @property
-    def host_arrays(self) -> SelectionArrays:
-        """Host-resident selection arrays (the sampler's own bundle)."""
-        return self.sampler.arrays
+            self.plan, self.n_streams, self.recipe)
+        self.blocks = block_plan([self.recipe.reuse * b for b in self.plan])
+        if self.probe and self.blocks and self.blocks[0][0] > 1:
+            count, size = self.blocks[0]
+            self.blocks[:1] = [(1, size), (count - 1, size)]
 
     def device_arrays(self, backend) -> SelectionArrays:
         """Selection arrays in ``backend``'s memory space, converted once.
@@ -315,7 +311,7 @@ class FusedIterationPlan:
         key = f"arrays/{backend.name}"
         arrays = self.scratch.get(key)
         if arrays is None:
-            host = self.host_arrays
+            host = self.sampler.arrays
             if backend.asarray(host.cum_steps) is host.cum_steps:
                 arrays = host
             else:
@@ -325,28 +321,31 @@ class FusedIterationPlan:
 
 
 def iteration_draws(uniforms, plan: List[int], need_calls: np.ndarray,
-                    n_streams: int, xp=np, out=None):
-    """Re-lay the megablock into one ``(8, total_terms)`` selection block.
+                    n_streams: int, xp=np, out=None,
+                    recipe: DrawRecipe = STOCK_RECIPE):
+    """Re-lay the megablock's per-term vectors into one selection block.
 
-    Segment ``s``'s unfused draws are
-    ``megablock_rows.reshape(8, need·streams)[:, :batch]``; this concatenates
-    those per-segment vectors in plan order, coalescing runs of equally-sized
-    segments into a single reshape/transpose (the common plan is uniform
-    batches plus one remainder, so an iteration re-lays in ~2 array ops).
-    Every element keeps its per-segment value — the transform is pure layout.
+    Segment ``s``'s rows are its ``recipe.lead_calls`` per-warp rows, then
+    ``rows.reshape(vectors, need·streams)[:, :batch]``; this concatenates
+    those per-term vectors in plan order into ``(vectors, total_terms)``,
+    coalescing runs of equally-sized segments into a single
+    reshape/transpose (the common plan is uniform batches plus one
+    remainder, so an iteration re-lays in ~2 array ops). Every element
+    keeps its per-segment value — the transform is pure layout.
 
-    ``out``, when given, must be a ``(SAMPLE_VECTORS, total_terms)`` float64
+    ``out``, when given, must be a ``(vectors, total_terms)`` float64
     array in ``xp``'s namespace; it is filled and returned instead of
     allocating. :func:`run_iteration_host` passes a view of the chunk-shared
     scratch buffer, so steady-state iterations allocate nothing here (the
     PR 2 zero steady-state-allocation contract).
     """
+    vectors = recipe.vectors
     n_terms = sum(int(b) for b in plan)
     if out is None:
-        out = xp.empty((SAMPLE_VECTORS, n_terms), dtype=np.float64)  # alloc-ok: fallback for direct callers only; the fused run path passes the chunk-shared scratch buffer
-    elif out.shape != (SAMPLE_VECTORS, n_terms):
+        out = xp.empty((vectors, n_terms), dtype=np.float64)  # alloc-ok: fallback for direct callers only; the fused run path passes the chunk-shared scratch buffer
+    elif out.shape != (vectors, n_terms):
         raise ValueError(
-            f"out must have shape {(SAMPLE_VECTORS, n_terms)}, got {out.shape}")
+            f"out must have shape {(vectors, n_terms)}, got {out.shape}")
     n_seg = len(plan)
     seg = 0
     row = 0
@@ -359,15 +358,30 @@ def iteration_draws(uniforms, plan: List[int], need_calls: np.ndarray,
                and int(need_calls[run_end + 1]) == need):
             run_end += 1
         k = run_end - seg + 1
-        rows = SAMPLE_VECTORS * need
-        block = uniforms[row:row + k * rows].reshape(
-            k, SAMPLE_VECTORS, need * n_streams)[:, :, :batch]
+        lead = recipe.lead_calls(batch, n_streams)
+        rows = lead + vectors * need
+        block = uniforms[row:row + k * rows]
+        if lead:
+            block = block.reshape(k, rows, n_streams)[:, lead:]
+        block = block.reshape(k, vectors, need * n_streams)[:, :, :batch]
         out[:, col:col + k * batch] = block.transpose(1, 0, 2).reshape(
-            SAMPLE_VECTORS, k * batch)
+            vectors, k * batch)
         row += k * rows
         col += k * batch
         seg = run_end + 1
     return out
+
+
+def draw_segment(sampler: PairSampler, rng, size: int, iteration: int,
+                 recipe: DrawRecipe = STOCK_RECIPE) -> StepBatch:
+    """Draw and select one ``size``-term segment exactly as a run does,
+    before data reuse (the GPU model's profile sample)."""
+    need, calls = uniform_call_plan([size], rng.n_streams, recipe)
+    uniforms = rng.next_double_block(calls)
+    draws = iteration_draws(uniforms, [size], need, rng.n_streams,
+                            recipe=recipe)
+    return sampler.select_chunk(uniforms, draws, [size], rng.n_streams,
+                                iteration, recipe)
 
 
 def run_iteration_host(backend, plan: FusedIterationPlan, coords,
@@ -380,24 +394,26 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
 
     * **selection is batch-free** — a term's identity depends only on its
       own uniforms and the static graph arrays, never on the coordinates —
-      so the *whole iteration's* terms are selected in one vectorised pass
+      so the *whole chunk's* terms are selected in one vectorised pass
       over the re-laid megablock (every selection op is elementwise, so the
-      per-term values are byte-identical to segment-at-a-time selection);
+      per-term values are byte-identical to segment-at-a-time selection),
+      then data reuse expands each segment;
     * **merges stay sequential** — the plan's merge blocks walk the
       selected terms as views; :func:`~repro.core.updates.merge_batch`
       computes a block's coordinate-free state once, then merges its
       segments in order, each reading coordinates as of its segment start
-      and scattering through the backend's merge kernel, exactly the
-      unfused staleness/merge semantics.
+      and scattering through the backend's merge kernel; a probing plan
+      samples the first segment's stress right after its merge.
 
     On host backends the pass runs on NumPy; a backend advertising
-    ``fused_device_selection`` gets the megablock uploaded once per
-    iteration and selection executed in its own namespace over a
+    ``fused_device_selection`` gets a stock-recipe megablock uploaded once
+    per chunk and selection executed in its own namespace over a
     device-resident :class:`SelectionArrays` bundle, which is what stops
     per-batch host→device round trips on CuPy.
     """
     sampler = plan.sampler
-    if getattr(backend, "fused_device_selection", False):
+    recipe = plan.recipe
+    if recipe.stock and getattr(backend, "fused_device_selection", False):
         xp = backend.xp
         arrays = plan.device_arrays(backend)
         uniforms = backend.asarray(uniforms)
@@ -415,9 +431,9 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
         # by every chunk of every later one — the scratch is shared across
         # the run's chunk plans (they execute sequentially), so the cached
         # draws state totals one chunk, not the whole iteration. Hoisting
-        # this (8, n_terms) block out of the per-iteration path is what
-        # keeps fused steady-state allocation-free.
-        buf = draws_xp.empty((SAMPLE_VECTORS, n_terms), dtype=np.float64)  # alloc-ok: warm-up allocation; kept in the chunk-shared scratch and reused by later chunks and iterations
+        # this (vectors, n_terms) block out of the per-iteration path is
+        # what keeps fused steady-state allocation-free.
+        buf = draws_xp.empty((recipe.vectors, n_terms), dtype=np.float64)  # alloc-ok: warm-up allocation; kept in the chunk-shared scratch and reused by later chunks and iterations
         plan.scratch[draws_key] = buf
     out = buf if buf.shape[1] == n_terms else buf[:, :n_terms]
     # Span attribution (repro.obs): selection is the one vectorised pass,
@@ -428,14 +444,18 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
     trace = tracer is not None and tracer.enabled
     t_sel = tracer.now() if trace else 0.0
     draws = iteration_draws(uniforms, plan.plan, plan.need_calls,
-                            plan.n_streams, xp=draws_xp, out=out)
-    terms = sampler.select_from_uniforms(draws, n_terms, iteration,
-                                         xp=xp, arrays=arrays)
+                            plan.n_streams, xp=draws_xp, out=out,
+                            recipe=recipe)
+    terms = sampler.select_chunk(uniforms, draws, plan.plan, plan.n_streams,
+                                 iteration, recipe, xp=xp, arrays=arrays)
+    if recipe.reuse > 1:
+        terms = sampler.warp_shuffle(terms, plan.plan, recipe)
     if trace:
         tracer.emit("selection", t_sel, tracer.now() - t_sel, iteration,
                     count=n_terms)
     t_mrg = tracer.now() if trace else 0.0
     n_collisions = 0
+    stress = None
     offset = 0
     for segments, size in plan.blocks:
         end = offset + segments * size
@@ -443,8 +463,12 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
                                     plan.merge, plan.workspace, segments)
         offset = end
         n_collisions += collisions
+        if plan.probe and stress is None:
+            stress = batch_stress(coords, terms.slice(0, size),
+                                  backend=backend)
     if trace:
         tracer.emit("merge", t_mrg, tracer.now() - t_mrg, iteration,
                     count=len(plan.plan))
-    return FusedIterationStats(n_terms=n_terms,
-                               n_point_collisions=n_collisions)
+    return FusedIterationStats(n_terms=offset,
+                               n_point_collisions=n_collisions,
+                               stress=stress)

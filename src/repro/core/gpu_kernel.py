@@ -20,11 +20,15 @@ does, and exposes toggles for the paper's optimisations:
   iteration shrinks by ``SRF``. Reuse trades randomness (and thus layout
   quality) for speed (Fig. 17).
 
-Numerically the engine runs the same vectorised update as every other
-engine; :meth:`OptimizedGpuEngine.profile` generates address traces and
-branch masks from a sample of real batches and pushes them through
-:mod:`repro.gpusim` to produce the counters and modelled run times the
-paper's evaluation reports.
+Numerically the engine runs the same fused iteration as every other
+engine: warp merging and data reuse are its
+:class:`~repro.core.selection.DrawRecipe` — one per-warp cooling draw and,
+under data reuse, one per-warp path draw ahead of each segment's 8 vectors,
+and a warp-shuffle expansion of each selected segment before its merge.
+:meth:`OptimizedGpuEngine.profile` generates address traces and branch
+masks from a sample batch drawn through the same selection and pushes them
+through :mod:`repro.gpusim` to produce the counters and modelled run times
+the paper's evaluation reports.
 """
 from __future__ import annotations
 
@@ -43,10 +47,10 @@ from ..gpusim.profiler import MemoryTrafficProfile, WorkloadCounters
 from ..gpusim.timing import TimingBreakdown, gpu_runtime
 from ..gpusim.warp import WarpExecutionStats, simulate_warp_execution
 from .base import LayoutEngine, split_into_batches
+from .fused import draw_segment
 from .layout import NodeDataLayout, node_record_addresses
 from .params import LayoutParams
-from .selection import StepBatch
-from .updates import UpdateWorkspace
+from .selection import DrawRecipe
 
 __all__ = ["GpuKernelConfig", "GpuProfile", "OptimizedGpuEngine"]
 
@@ -128,8 +132,15 @@ class OptimizedGpuEngine(LayoutEngine):
     ):
         super().__init__(graph, params)
         self.config = config if config is not None else GpuKernelConfig()
-        self._warp_cooling_fraction_sum = 0.0
-        self._warp_cooling_batches = 0
+        cfg = self.config
+        reuse = cfg.data_reuse_factor
+        # Data reuse also draws one cooling decision and one path per warp,
+        # so warp-shuffled pairs stay on the warp's path.
+        self.recipe = DrawRecipe(
+            warp=cfg.warp_size if (cfg.warp_merging or reuse > 1) else 0,
+            warp_paths=reuse > 1,
+            reuse=reuse,
+        )
 
     # ----------------------------------------------------------- engine API
     def data_layout(self) -> NodeDataLayout:
@@ -145,7 +156,7 @@ class OptimizedGpuEngine(LayoutEngine):
     def batch_plan(self, steps_per_iteration: int) -> List[int]:
         effective = max(1, int(steps_per_iteration / self.config.step_reduction_factor))
         # Each wave covers `concurrent_threads` base terms; data reuse adds
-        # DRF-1 shuffled terms per base term inside on_batch, so the plan
+        # DRF-1 shuffled terms per base term after selection, so the plan
         # counts base terms only. The wave is additionally capped relative to
         # the graph size: the paper's quality argument (Sec. III-A, VI) relies
         # on in-flight updates being sparse over the node set, so running a
@@ -155,105 +166,6 @@ class OptimizedGpuEngine(LayoutEngine):
         graph_cap = max(warp, (self.graph.n_nodes // 4 // warp) * warp)
         wave = min(self.config.concurrent_threads, graph_cap)
         return split_into_batches(effective, wave)
-
-    def make_workspace(self, plan: List[int]) -> UpdateWorkspace:
-        # Warp-shuffle data reuse expands every planned batch DRF-fold in
-        # on_batch, so the scratch buffers are pre-sized to the expanded
-        # batches instead of growing on the first wave.
-        base = max(plan) if plan else 1
-        return UpdateWorkspace(base * self.config.data_reuse_factor,
-                               backend=self.backend)
-
-    def draw_batch(
-        self, rng: Xoshiro256Plus, batch_size: int, iteration: int, batch_index: int
-    ) -> StepBatch:
-        # Overriding draw_batch/on_batch forces the unfused per-batch path
-        # (LayoutEngine.fused_active): warp merging and data reuse make
-        # per-warp draws between batches, and the gpusim profiling replays
-        # those per-batch decisions — a fused iteration would skip both.
-        warp = self.config.warp_size
-        cooling_mask = None
-        path_override = None
-        if self.config.warp_merging or self.config.data_reuse_factor > 1:
-            # Control-thread decision per warp, broadcast to the whole warp.
-            # The sampler's bulk draw consumes the PRNG streams in the same
-            # order the historical concatenate-until-full loop did.
-            n_warps = int(np.ceil(batch_size / warp))
-            warp_draws = self.sampler._uniforms(rng, n_warps, 1)[0]
-            always = iteration >= self.params.first_cooling_iteration()
-            warp_cooling = np.full(n_warps, always, dtype=bool) | (warp_draws < 0.5)
-            cooling_mask = np.repeat(warp_cooling, warp)[:batch_size]
-            self._warp_cooling_fraction_sum += float(warp_cooling.mean())
-            self._warp_cooling_batches += 1
-        if self.config.data_reuse_factor > 1:
-            # Path-coherent warps: every lane of a warp samples from the same
-            # path so warp-shuffled pairs stay on one path.
-            n_warps = int(np.ceil(batch_size / warp))
-            path_draw = self.sampler._uniforms(rng, n_warps, 1)[0]
-            warp_paths = self.index.sample_paths(path_draw)
-            path_override = np.repeat(warp_paths, warp)[:batch_size]
-        return self.sampler.sample(
-            rng,
-            batch_size,
-            iteration,
-            cooling_mask=cooling_mask,
-            path_override=path_override,
-        )
-
-    def on_batch(self, batch: StepBatch, iteration: int, batch_index: int) -> StepBatch:
-        drf = self.config.data_reuse_factor
-        if drf <= 1:
-            return batch
-        return self._apply_warp_shuffle_reuse(batch, drf)
-
-    def _apply_warp_shuffle_reuse(self, batch: StepBatch, drf: int) -> StepBatch:
-        """Create ``drf - 1`` extra terms per base term via intra-warp shuffles.
-
-        The extra terms pair lane ``l``'s node_i with lane ``(l + shift) %
-        warp``'s node_j — reusing data already resident in the warp's
-        registers, so no additional memory traffic, but with correlated
-        (less random) pair selection.
-        """
-        warp = self.config.warp_size
-        n = len(batch)
-        parts = [batch]
-        pos = self.graph.step_positions
-        for r in range(1, drf):
-            shift = r  # deterministic lane shift per reuse round
-            lane = np.arange(n)
-            warp_id = lane // warp
-            lane_in_warp = lane % warp
-            partner = warp_id * warp + (lane_in_warp + shift) % warp
-            partner = np.minimum(partner, n - 1)
-            # Only valid when both lanes are on the same path.
-            same_path = batch.path == batch.path[partner]
-            flat_j = np.where(same_path, batch.flat_j[partner], batch.flat_j)
-            node_j = self.graph.step_nodes[flat_j]
-            d_ref = np.abs(pos[batch.flat_i] - pos[flat_j]).astype(np.float64)
-            parts.append(
-                StepBatch(
-                    path=batch.path,
-                    flat_i=batch.flat_i,
-                    flat_j=flat_j,
-                    node_i=batch.node_i,
-                    node_j=node_j,
-                    vis_i=batch.vis_i,
-                    vis_j=batch.vis_j[partner],
-                    d_ref=d_ref,
-                    in_cooling=batch.in_cooling,
-                )
-            )
-        return StepBatch(
-            path=np.concatenate([p.path for p in parts]),
-            flat_i=np.concatenate([p.flat_i for p in parts]),
-            flat_j=np.concatenate([p.flat_j for p in parts]),
-            node_i=np.concatenate([p.node_i for p in parts]),
-            node_j=np.concatenate([p.node_j for p in parts]),
-            vis_i=np.concatenate([p.vis_i for p in parts]),
-            vis_j=np.concatenate([p.vis_j for p in parts]),
-            d_ref=np.concatenate([p.d_ref for p in parts]),
-            in_cooling=np.concatenate([p.in_cooling for p in parts]),
-        )
 
     # -------------------------------------------------------------- profiling
     def kernel_launches(self) -> int:
@@ -273,13 +185,19 @@ class OptimizedGpuEngine(LayoutEngine):
         iteration: int = 0,
         seed: Optional[int] = None,
     ) -> GpuProfile:
-        """Measure counters on a sample of real batches and model the run time."""
+        """Measure counters on a sample batch and model the run time.
+
+        The sample is one segment drawn through the run's own selection
+        (:func:`~repro.core.fused.draw_segment`, before data reuse), so
+        its warp decisions add to the run's warp-cooling tally.
+        """
         cfg = self.config
         warp = cfg.warp_size
         n_sample_terms = max(warp, (n_sample_terms // warp) * warp)
         rng = Xoshiro256Plus(self.params.seed if seed is None else seed,
                              n_streams=min(cfg.concurrent_threads, n_sample_terms))
-        batch = self.draw_batch(rng, n_sample_terms, iteration, 0)
+        batch = draw_segment(self.sampler, rng, n_sample_terms, iteration,
+                             self.recipe)
 
         # --- node-data accesses through the L1/L2 hierarchy ----------------
         layout_kind = self.data_layout()
@@ -402,8 +320,8 @@ class OptimizedGpuEngine(LayoutEngine):
                 "scale_factor": scale,
                 "combined_sectors_per_request": combined_spr,
                 "warp_cooling_fraction": (
-                    self._warp_cooling_fraction_sum / self._warp_cooling_batches
-                    if self._warp_cooling_batches
+                    self.recipe.cooling_sum / self.recipe.cooling_segments
+                    if self.recipe.cooling_segments
                     else 0.0
                 ),
             },

@@ -13,10 +13,12 @@ are insensitive to the multiplier.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
-__all__ = ["LayoutParams", "parse_memory_budget", "replace_params"]
+__all__ = ["LayoutParams", "parse_memory_budget", "replace_params",
+           "warn_fused_deprecated"]
 
 #: Binary size-suffix multipliers accepted by :func:`parse_memory_budget`.
 #: ``KB``/``KiB``/``K`` are synonyms (1024 bytes), and so on through ``T``.
@@ -67,6 +69,14 @@ def parse_memory_budget(value: Union[int, str, None]) -> Optional[int]:
     if budget < 1:
         raise ValueError("memory_budget must be a positive number of bytes")
     return budget
+
+
+def warn_fused_deprecated() -> None:
+    """Warn that the ``fused`` option (``LayoutParams.fused``, ``--fused``/
+    ``--no-fused``) is deprecated and changes nothing."""
+    warnings.warn(
+        "the fused option is deprecated and has no effect: every run takes "
+        "the fused iteration", FutureWarning, stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -142,16 +152,11 @@ class LayoutParams:
     backend fails fast with the recorded reason."""
 
     fused: Optional[bool] = None
-    """Fused per-iteration execution path (:mod:`repro.core.fused`): run
-    selection + displacement + merge for a whole iteration as one backend
-    dispatch instead of one ``sample``/``apply_batch`` round trip per batch.
-    ``None`` (auto, the default) fuses whenever the backend advertises a
-    fused kernel and the engine uses the stock batch hooks; ``False`` forces
-    the per-batch loop. Engines that override ``draw_batch``/``on_batch``
-    (the batched PyTorch-style engine's kernel accounting, the GPU engine's
-    warp merging) and history-recording runs always take the unfused path so
-    their per-batch hooks keep firing. Fused and unfused layouts are
-    byte-identical on the NumPy backend."""
+    """Deprecated; has no effect. Every engine runs each iteration as one
+    fused backend dispatch per chunk (:mod:`repro.core.fused`); there is no
+    per-batch loop left to select. An explicit ``True`` or ``False`` warns
+    (:func:`warn_fused_deprecated`); the field goes after one deprecation
+    cycle."""
 
     memory_budget: Optional[Union[int, str]] = None
     """Soft ceiling, in bytes, on the fused path's per-iteration transient
@@ -222,7 +227,9 @@ class LayoutParams:
                                          or not self.backend):
             raise ValueError("backend must be None or a non-empty backend name")
         if self.fused is not None and not isinstance(self.fused, bool):
-            raise ValueError("fused must be None (auto), True or False")
+            raise ValueError("fused must be None, True or False")
+        if self.fused is not None:
+            warn_fused_deprecated()
         # Normalise "64MB"-style budgets to a byte count once, here, so every
         # consumer (engine, shm workers, CLI echo) deals in plain ints.
         object.__setattr__(self, "memory_budget",
@@ -267,7 +274,7 @@ def replace_params(params: LayoutParams, overrides) -> LayoutParams:
     """``dataclasses.replace`` with unknown-name rejection.
 
     The backing of the one-knob override API (``layout_graph(g, workers=4)``,
-    ``params.with_(fused=False)``): overrides are validated against the
+    ``params.with_(seed=7)``): overrides are validated against the
     :class:`LayoutParams` field names before replacement, so a typo raises
     ``TypeError`` naming the valid knobs instead of surfacing as an opaque
     dataclass error.

@@ -16,14 +16,16 @@ any of the multi-stream PRNGs in :mod:`repro.prng`.
 
 Selection runs on the sampler backend's *host* namespace
 (``backend.host_xp``): the PRNG streams produce host arrays and the selected
-:class:`StepBatch` stays host-resident — device backends upload it per batch
-inside the update kernels. The dispatch seam is here so a future
-device-resident sampler only has to override ``host_xp``.
+:class:`StepBatch` stays host-resident — device backends upload it inside
+the update kernels. The dispatch seam is here so a future device-resident
+sampler only has to override ``host_xp``.
+A :class:`DrawRecipe` says what one plan segment draws and how its terms
+are selected; :meth:`PairSampler.select_chunk` selects a chunk at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol
+from dataclasses import dataclass, fields, replace
+from typing import List, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -32,7 +34,12 @@ from ..graph.lean import LeanGraph
 from ..graph.path_index import PathIndex
 from .params import LayoutParams
 
-__all__ = ["StepBatch", "PairSampler", "SelectionArrays", "zipf_hop_distances"]
+__all__ = ["DrawRecipe", "SAMPLE_VECTORS", "STOCK_RECIPE", "StepBatch",
+           "PairSampler", "SelectionArrays", "zipf_hop_distances"]
+
+#: Uniform vectors one term draws in the stock recipe: 6 path/cooling/pair
+#: vectors and 2 endpoint coin flips.
+SAMPLE_VECTORS = 8
 
 
 class _MultiStreamRNG(Protocol):
@@ -138,6 +145,56 @@ class StepBatch:
             d_ref=self.d_ref[keep],
             in_cooling=self.in_cooling[keep],
         )
+
+
+@dataclass(eq=False)
+class DrawRecipe:
+    """What one plan segment draws from the PRNG streams, and how it selects.
+
+    A ``size``-term segment draws, with ``warp`` > 0, one vector of
+    ``ceil(size / warp)`` per-warp cooling uniforms (warp merging) and, with
+    ``warp_paths``, one of per-warp paths (data reuse); then the 8 per-term
+    vectors of :meth:`PairSampler.select_from_uniforms`, or with ``hop`` > 0
+    the 4 of :meth:`PairSampler.select_fixed_hop`. A vector of ``n`` values
+    takes ``ceil(n / n_streams)`` calls, vector-major and call-minor: the
+    order the engines' per-batch draws consumed the streams in. ``reuse`` >
+    1 expands each selected segment (:meth:`PairSampler.warp_shuffle`).
+    ``cooling_sum``/``cooling_segments`` tally the fraction of warps in the
+    cooling branch, one addend per segment in draw order.
+    """
+
+    warp: int = 0
+    warp_paths: bool = False
+    reuse: int = 1
+    hop: int = 0
+    cooling_sum: float = 0.0
+    cooling_segments: int = 0
+
+    @property
+    def stock(self) -> bool:
+        """Whether this is the 8-vector recipe of Alg. 1 with nothing added."""
+        return not (self.warp or self.hop)
+
+    @property
+    def vectors(self) -> int:
+        """Per-term uniform vectors of one segment."""
+        return 4 if self.hop else SAMPLE_VECTORS
+
+    def lead_calls(self, size: int, n_streams: int) -> int:
+        """PRNG calls of a ``size``-term segment's per-warp vectors."""
+        if not self.warp:
+            return 0
+        warps = -(-int(size) // self.warp)
+        return (1 + int(self.warp_paths)) * -(-warps // n_streams)
+
+    def segment_calls(self, size: int, n_streams: int) -> int:
+        """PRNG calls of one ``size``-term segment, per-warp vectors included."""
+        return (self.lead_calls(size, n_streams)
+                + self.vectors * -(-int(size) // n_streams))
+
+
+#: The recipe of every CPU engine and of the batched engine.
+STOCK_RECIPE = DrawRecipe()
 
 
 def zipf_hop_distances(
@@ -268,10 +325,9 @@ class PairSampler:
 
         This is the selection half of :meth:`sample` — the exact historical
         call sequence, with the PRNG draws supplied by the caller instead of
-        drawn here. The fused iteration path slices one per-iteration
-        megablock into these 8-vector views, so selection issues from one
-        bulk draw per *iteration* rather than one per batch; the selected
-        terms are byte-identical either way.
+        drawn here. :meth:`select_chunk` calls it once over a whole chunk's
+        re-laid megablock; every operation is elementwise, so the selected
+        terms are byte-identical to one call per segment.
 
         ``xp``/``arrays`` default to the sampler's host namespace and host
         :class:`SelectionArrays`; a device backend passes its own namespace
@@ -342,6 +398,87 @@ class PairSampler:
             in_cooling=cooling,
         )
 
+    def select_chunk(self, uniforms: np.ndarray, draws, plan: List[int],
+                     n_streams: int, iteration: int, recipe: DrawRecipe,
+                     xp=None, arrays: Optional[SelectionArrays] = None
+                     ) -> StepBatch:
+        """Select a chunk's terms in one call, before data reuse.
+
+        ``uniforms`` is the chunk's ``(calls, n_streams)`` megablock laid out
+        by ``recipe``, ``draws`` its per-term vectors re-laid side by side
+        (:func:`repro.core.fused.iteration_draws`). ``xp``/``arrays`` select
+        on a device (stock recipe only).
+        """
+        n_terms = draws.shape[1]
+        if recipe.hop:
+            return self.select_fixed_hop(draws, n_terms, recipe.hop)
+        if not recipe.warp:
+            return self.select_from_uniforms(draws, n_terms, iteration,
+                                             xp=xp, arrays=arrays)
+        cooling, paths = self._warp_lanes(uniforms, plan, n_streams,
+                                          iteration, recipe)
+        return self.select_from_uniforms(draws, n_terms, iteration,
+                                         cooling_mask=cooling,
+                                         path_override=paths)
+
+    def _warp_lanes(self, uniforms: np.ndarray, plan: List[int],
+                    n_streams: int, iteration: int, recipe: DrawRecipe):
+        """Per-term cooling mask and path override of a per-warp recipe.
+
+        Each segment's warp rows sit ahead of its per-term vectors in
+        ``uniforms``: one control thread per warp decides the cooling branch
+        for all its lanes (warp merging), and under data reuse one path.
+        """
+        warp = recipe.warp
+        always = iteration >= self.params.first_cooling_iteration()
+        cooling: List[np.ndarray] = []
+        paths: List[np.ndarray] = []
+        row = 0
+        for size in plan:
+            n_warps = -(-size // warp)
+            need = -(-n_warps // n_streams)
+            warp_draws = uniforms[row:row + need].reshape(-1)[:n_warps]
+            warp_cooling = np.full(n_warps, always, dtype=bool) | (warp_draws < 0.5)
+            cooling.append(np.repeat(warp_cooling, warp)[:size])
+            recipe.cooling_sum += float(warp_cooling.mean())
+            recipe.cooling_segments += 1
+            if recipe.warp_paths:
+                path_draw = uniforms[row + need:row + 2 * need].reshape(-1)[:n_warps]
+                paths.append(np.repeat(self.index.sample_paths(path_draw), warp)[:size])
+            row += recipe.segment_calls(size, n_streams)
+        return np.concatenate(cooling), (np.concatenate(paths) if paths else None)
+
+    def warp_shuffle(self, terms: StepBatch, plan: List[int],
+                     recipe: DrawRecipe) -> StepBatch:
+        """Expand every segment ``recipe.reuse``-fold by intra-warp shuffles.
+
+        Warp-shuffle data reuse (Sec. VII-D): round ``r`` pairs lane ``l``'s
+        ``node_i`` with lane ``(l + r) % warp``'s ``node_j``, data already in
+        the warp's registers (no extra memory traffic, less random pairs); a
+        partner on another path keeps the term's own ``j``. Each segment
+        becomes its base terms followed by its ``reuse - 1`` rounds.
+        """
+        warp = recipe.warp
+        pos = self.arrays.step_positions
+        parts: List[StepBatch] = []
+        offset = 0
+        for n in plan:
+            batch = terms.slice(offset, offset + n)
+            offset += n
+            parts.append(batch)
+            lane = np.arange(n)
+            for shift in range(1, recipe.reuse):
+                partner = np.minimum(lane // warp * warp + (lane % warp + shift) % warp,
+                                     n - 1)
+                flat_j = np.where(batch.path == batch.path[partner],
+                                  batch.flat_j[partner], batch.flat_j)
+                parts.append(replace(
+                    batch, flat_j=flat_j, node_j=self.arrays.step_nodes[flat_j],
+                    vis_j=batch.vis_j[partner],
+                    d_ref=np.abs(pos[batch.flat_i] - pos[flat_j]).astype(np.float64)))
+        return StepBatch(*(np.concatenate([getattr(p, f.name) for p in parts])
+                           for f in fields(StepBatch)))
+
     def sample_fixed_hop(self, rng: _MultiStreamRNG, batch_size: int, hop: int) -> StepBatch:
         """Degenerate sampler forcing every pair to be exactly ``hop`` steps apart.
 
@@ -352,8 +489,13 @@ class PairSampler:
             raise ValueError("hop must be >= 1")
         # Single 4-vector bulk draw (path, step, both endpoints) — same stream
         # consumption order as the historical two 2-vector draws.
-        xp = self._xp
         draws = self._uniforms(rng, batch_size, 4)
+        return self.select_fixed_hop(draws, batch_size, hop)
+
+    def select_fixed_hop(self, draws: np.ndarray, batch_size: int,
+                         hop: int) -> StepBatch:
+        """Fixed-hop selection over a pre-drawn ``(4, batch_size)`` block."""
+        xp = self._xp
         paths = self.index.sample_paths(draws[0])
         starts = self._offsets[paths]
         counts = self._counts[paths]

@@ -114,7 +114,7 @@ class UpdateWorkspace:
 
     One workspace is created per :meth:`LayoutEngine.run` (sized to the
     largest batch of the engine's plan) and threaded through every
-    :func:`apply_batch` / :func:`merge_batch` call of the run, so the
+    :func:`merge_batch` call of the run, so the
     dominant temporaries are allocated once instead of once per batch. Two
     groups of buffers, each with its own capacity:
 

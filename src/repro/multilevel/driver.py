@@ -86,10 +86,8 @@ class MultilevelDriver:
     flat :class:`~repro.core.base.LayoutEngine` family and works with every
     registered engine kind, backend and merge policy — the per-level engines
     are constructed through :func:`repro.core.api.make_engine` from the
-    driver's own params. ``params.fused`` rides along unchanged, so every
-    level of the V-cycle takes the fused per-iteration path under the same
-    auto/force rules as a flat run (byte-identical layouts on NumPy either
-    way, fused or not).
+    driver's own params, so every level runs the engine's own fused
+    iteration as a flat run does.
     """
 
     name = "multilevel"

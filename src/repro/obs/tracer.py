@@ -21,8 +21,7 @@ Span taxonomy (the ``name`` field; see also :data:`PHASE_NAMES` in
 ``selection`` / ``merge``
     The two halves of the update work: term selection and the sequential
     per-segment write merge. Emitted by :func:`repro.core.fused
-    .run_iteration_host` per chunk (fused) or aggregated per iteration by
-    the engine loop (unfused).
+    .run_iteration_host` per chunk.
 ``iteration``
     The whole-iteration span enclosing the above.
 ``level`` / ``prolong``

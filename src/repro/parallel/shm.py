@@ -22,8 +22,7 @@ Worker ``0`` draws from *the same* Xoshiro256+ streams the flat
 the test-suite:
 
 * ``workers=1`` runs the full plan on the base streams — **byte-identical**
-  to the flat engine (which is itself byte-identical fused vs unfused on the
-  NumPy backend);
+  to the flat engine on the NumPy backend;
 * ``workers=N`` draws are decorrelated across workers and fully determined
   by ``params.seed`` — only the store interleaving is racy, never the
   sampled terms.
@@ -346,12 +345,12 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
             if faults:
                 faults.fire(worker_id, iteration)
             t_iter = tracer.now() if trace else 0.0
-            n_terms, n_collisions, _ = step_units(units, backend, coords, eta,
-                                                  iteration, tracer, t_iter)
+            stats = step_units(units, backend, coords, eta, iteration,
+                               tracer, t_iter)
             if trace:
                 tracer.emit("iteration", t_iter, tracer.now() - t_iter,
                             iteration)
-            conn.send((n_terms, n_collisions))
+            conn.send((stats.terms, stats.collisions))
     finally:
         conn.close()
         block.close()
@@ -377,7 +376,7 @@ class ShmHogwildEngine(CpuBaselineEngine):
     the chaos suite; production runs take the defaults.
 
     Requires a host-resident backend (the shared mapping *is* the coordinate
-    state) that advertises the fused iteration path.
+    state).
     """
 
     name = "shm-hogwild"
@@ -403,10 +402,6 @@ class ShmHogwildEngine(CpuBaselineEngine):
             raise ValueError(
                 f"backend {self.backend.name!r} is not host-resident; the "
                 "shared-memory engine needs coordinates mapped in host RAM")
-        if not getattr(self.backend, "supports_fused_iteration", False):
-            raise ValueError(
-                f"backend {self.backend.name!r} does not advertise the fused "
-                "iteration path the shm workers execute")
 
     # ------------------------------------------------------------- helpers
     def _worker_plans(self) -> Tuple[List[List[int]], List[np.ndarray]]:
@@ -613,11 +608,11 @@ class _InlineRun(ShmHogwildEngine):
             n_terms = 0
             n_collisions = 0
             for unit, wtracer in zip(units, wtracers):
-                terms, collisions, _ = step_units(
+                stats = step_units(
                     [unit], self.backend, coords, eta, iteration, wtracer,
                     wtracer.now() if trace else 0.0)
-                n_terms += terms
-                n_collisions += collisions
+                n_terms += stats.terms
+                n_collisions += stats.collisions
             return StepStats(n_terms, n_collisions, total_chunks,
                              workers=len(units))
 

@@ -140,14 +140,20 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "smoke_layout_cpu" in out
 
-    def test_legacy_flat_invocation_still_works(self, tmp_path, capsys):
+    def test_layout_subcommand_writes_tsv(self, tmp_path, capsys):
         tsv = tmp_path / "toy.tsv"
-        code = main(["--dataset", "HLA-DRB1", "--scale", "0.05",
+        code = main(["layout", "--dataset", "HLA-DRB1", "--scale", "0.05",
                      "--iter-max", "2", "--steps-factor", "1.0",
                      "--out-tsv", str(tsv)])
         assert code == 0
         assert tsv.exists()
         assert "layout complete" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["--dataset", "HLA-DRB1"], ["lay"], []])
+    def test_unknown_first_argument_lists_subcommands(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "layout, bench, analyze, trace" in err
 
     def test_layout_subcommand(self, tmp_path, capsys):
         code = main(["layout", "--dataset", "HLA-DRB1", "--scale", "0.05",
@@ -184,7 +190,7 @@ class TestBenchCli:
                   "--merge-policy", "banana"])
 
     def test_layout_fused_flags_parse_and_run(self, tmp_path, capsys):
-        """--fused / --no-fused reach LayoutParams; layouts stay identical."""
+        """--fused / --no-fused still parse, warn, and change no layout."""
         from repro.cli import build_parser
 
         parser = build_parser()
@@ -196,20 +202,30 @@ class TestBenchCli:
         blobs = {}
         for flag in ("--fused", "--no-fused"):
             out = tmp_path / f"{flag.strip('-')}.lay"
-            assert main(["layout", "--dataset", "HLA-DRB1", "--scale", "0.05",
-                         "--iter-max", "2", "--steps-factor", "1.0", flag,
-                         "--out-lay", str(out)]) == 0
+            with pytest.warns(FutureWarning, match="fused option"):
+                assert main(["layout", "--dataset", "HLA-DRB1", "--scale",
+                             "0.05", "--iter-max", "2", "--steps-factor",
+                             "1.0", flag, "--out-lay", str(out)]) == 0
             blobs[flag] = out.read_bytes()
-        # The execution strategy must not move the layout (numpy backend).
-        assert blobs["--fused"] == blobs["--no-fused"]
+        out = tmp_path / "plain.lay"
+        assert main(["layout", "--dataset", "HLA-DRB1", "--scale", "0.05",
+                     "--iter-max", "2", "--steps-factor", "1.0",
+                     "--out-lay", str(out)]) == 0
+        assert blobs["--fused"] == blobs["--no-fused"] == out.read_bytes()
 
-    def test_bench_run_fused_flag_threads_into_context(self, tmp_path):
-        """--no-fused is recorded in runner metadata and changes no metrics."""
+    def test_bench_run_fused_flag_is_a_deprecated_no_op(self, monkeypatch,
+                                                        tmp_path):
+        """--no-fused still parses, warns and reaches nothing."""
+        import repro.bench.runner as runner
+
+        seen = {}
+        monkeypatch.setattr(runner, "run_suite",
+                            lambda suite, **kwargs: seen.update(kwargs))
         out = tmp_path / "unfused.json"
-        assert main(["bench", "run", "--suite", "smoke", "--no-fused",
-                     "--out", str(out)]) == 0
-        doc = load_results(str(out))
-        assert doc["runner"]["fused"] is False
+        with pytest.warns(FutureWarning, match="fused option"):
+            assert main(["bench", "run", "--suite", "smoke", "--no-fused",
+                         "--out", str(out)]) == 0
+        assert "fused" not in seen and seen["out_path"] == str(out)
 
     def test_bench_run_profile_writes_per_case_artifacts(self, toy_registry,
                                                          tmp_path):

@@ -20,11 +20,11 @@ from repro.backend import get_backend
 from repro.core import CpuBaselineEngine, LayoutParams, SerialReferenceEngine
 from repro.core.fused import (
     FUSED_BYTES_PER_TERM,
-    SAMPLE_VECTORS,
     build_iteration_plans,
     chunk_spans,
 )
 from repro.core.params import parse_memory_budget
+from repro.core.selection import SAMPLE_VECTORS
 from repro.memtrack import PeakTracker, max_rss_bytes
 from repro.parallel.shm import budget_share, run_workers_inline
 from repro.synth import PangenomeConfig, simulate_pangenome
@@ -222,7 +222,7 @@ class TestBuildIterationPlans:
 class TestBudgetByteIdentity:
     @pytest.mark.parametrize("budget", [1, "1KB", "100KB", "64MB"])
     def test_cpu_engine_budget_never_moves_layout(self, small_graph, budget):
-        params = _params(fused=True)
+        params = _params()
         reference = CpuBaselineEngine(small_graph, params).run()
         budgeted = CpuBaselineEngine(
             small_graph, params.with_(memory_budget=budget)).run()
@@ -231,7 +231,7 @@ class TestBudgetByteIdentity:
                                       reference.layout.coords)
 
     def test_serial_engine_one_term_segments_chunk_identically(self, small_graph):
-        params = _params(iter_max=2, fused=True)
+        params = _params(iter_max=2)
         reference = SerialReferenceEngine(small_graph, params).run()
         budgeted = SerialReferenceEngine(
             small_graph, params.with_(memory_budget=1)).run()
@@ -239,14 +239,14 @@ class TestBudgetByteIdentity:
                                       reference.layout.coords)
 
     def test_unbudgeted_keeps_one_dispatch_per_iteration(self, small_graph):
-        result = CpuBaselineEngine(small_graph, _params(fused=True)).run()
+        result = CpuBaselineEngine(small_graph, _params()).run()
         assert result.counters["fused_chunks"] == 1.0
         assert (result.counters["update_dispatches"]
                 == float(result.iterations))
 
     def test_budgeted_dispatches_once_per_chunk(self, small_graph):
         result = CpuBaselineEngine(
-            small_graph, _params(fused=True, memory_budget=1)).run()
+            small_graph, _params(memory_budget=1)).run()
         chunks = result.counters["fused_chunks"]
         assert chunks > 1.0
         assert (result.counters["update_dispatches"]
@@ -269,7 +269,7 @@ class TestWorkerBudget:
             budget_share(100, 0)
 
     def test_inline_workers_budget_never_moves_layout(self, small_graph):
-        params = _params(workers=2, fused=True)
+        params = _params(workers=2)
         reference = run_workers_inline(small_graph, params)
         budgeted = run_workers_inline(
             small_graph, params.with_(memory_budget="4KB"))
@@ -277,7 +277,7 @@ class TestWorkerBudget:
                                       reference.layout.coords)
 
     def test_inline_workers_budget_raises_chunk_count(self, small_graph):
-        params = _params(workers=2, fused=True)
+        params = _params(workers=2)
         reference = run_workers_inline(small_graph, params)
         budgeted = run_workers_inline(
             small_graph, params.with_(memory_budget=1))

@@ -18,9 +18,9 @@ Two matrices:
 
 plus a **fused axis** (``TestFusedConformance``): every engine × merge ×
 backend run through the fused per-iteration path vs both the serial
-reference and its own unfused run — byte-identical on NumPy, ≤1e-9
-elsewhere, with counters proving eligible engines really fused and
-hook-overriding engines really fell back.
+reference and the per-batch loop it replaced
+(``tests/per_batch_reference.py``) — byte-identical on NumPy, ≤1e-9
+elsewhere, with counters proving every engine really fused.
 
 Backends whose toolchain is absent (numba/cupy on a CPU-only CI box) skip
 cleanly with the registry's recorded reason. Registering a new backend makes
@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from per_batch_reference import PerBatchRun
 from repro.backend import available_backends, backend_failures, backend_names, get_backend
 from repro.core import (
     BatchedLayoutEngine,
@@ -189,13 +190,11 @@ class TestMultilevelConformance:
 class TestFusedConformance:
     """Fused axis: the per-iteration execution path must not move layouts.
 
-    ``LayoutParams(fused=True)`` routes eligible engines through
-    ``backend.run_iteration`` (one dispatch per iteration); engines with
-    per-batch hooks (batch/gpu) fall back to the unfused loop, which this
-    matrix also verifies. The bar mirrors the rest of the suite: ≤1e-9
-    against the serial reference in the degenerate configs, fused vs
-    unfused agreement in the stock configs, and *byte*-identity for both on
-    the NumPy backend.
+    Every engine runs through ``backend.run_iteration`` (one dispatch per
+    iteration). The bar mirrors the rest of the suite: ≤1e-9 against the
+    serial reference in the degenerate configs, agreement with the
+    per-batch loop ("unfused", run by the oracle on the same backend) in
+    the stock configs, and *byte*-identity for both on the NumPy backend.
     """
 
     def test_fused_matches_serial_reference(self, conf_graph, engine_kind,
@@ -203,8 +202,7 @@ class TestFusedConformance:
         _backend_or_skip(backend_name)
         reference = _serial_reference(conf_graph, merge)
         engine = _serial_degenerate_engine(
-            engine_kind, conf_graph,
-            _params(merge, backend_name).with_(fused=True))
+            engine_kind, conf_graph, _params(merge, backend_name))
         got = engine.run().layout.coords
         np.testing.assert_allclose(got, reference, atol=ATOL, rtol=0)
         if backend_name == "numpy":
@@ -215,22 +213,18 @@ class TestFusedConformance:
                                                   backend_name):
         _backend_or_skip(backend_name)
         params = _params(merge, backend_name)
-        unfused = _default_engine(engine_kind, conf_graph,
-                                  params.with_(fused=False)).run()
-        fused = _default_engine(engine_kind, conf_graph,
-                                params.with_(fused=True)).run()
+        unfused = PerBatchRun(_default_engine(engine_kind, conf_graph,
+                                              params)).run()
+        fused = _default_engine(engine_kind, conf_graph, params).run()
         assert fused.total_terms == unfused.total_terms
         np.testing.assert_allclose(fused.layout.coords, unfused.layout.coords,
                                    atol=ATOL, rtol=0)
         if backend_name == "numpy":
             np.testing.assert_array_equal(fused.layout.coords,
                                           unfused.layout.coords)
-        if engine_kind == "cpu":
-            # Not vacuous: the cpu engine really took the fused path...
-            assert fused.counters["fused_iterations"] > 0
-        else:
-            # ...while hook-overriding engines are required to fall back.
-            assert fused.counters["fused_iterations"] == 0.0
+        # Not vacuous: every engine really took the fused path.
+        assert fused.counters["fused_iterations"] == fused.iterations
+        assert fused.counters["update_dispatches"] == fused.iterations
 
     @pytest.mark.parametrize("budget", (1, "64MB"))
     def test_memory_budget_preserves_layout(self, conf_graph, engine_kind,
@@ -243,7 +237,7 @@ class TestFusedConformance:
         layout untouched: ≤1e-9 everywhere, byte-identical on NumPy.
         """
         _backend_or_skip(backend_name)
-        params = _params(merge, backend_name).with_(fused=True)
+        params = _params(merge, backend_name)
         unbudgeted = _default_engine(engine_kind, conf_graph, params).run()
         budgeted = _default_engine(
             engine_kind, conf_graph,

@@ -14,6 +14,7 @@ from repro.core import (
     layout_graph,
     make_engine,
 )
+from repro.core.fused import draw_segment
 from repro.core.layout import Layout, NodeDataLayout
 from repro.metrics import sampled_path_stress
 from repro.parallel.shm import run_workers_inline
@@ -169,8 +170,8 @@ class TestGpuEngineDetails:
         cfg = GpuKernelConfig(data_reuse_factor=4)
         engine = OptimizedGpuEngine(small_synthetic, fast_params, cfg)
         rng = engine.make_rng()
-        batch = engine.draw_batch(rng, 64, iteration=0, batch_index=0)
-        expanded = engine.on_batch(batch, 0, 0)
+        batch = draw_segment(engine.sampler, rng, 64, 0, engine.recipe)
+        expanded = engine.sampler.warp_shuffle(batch, [64], engine.recipe)
         assert len(expanded) == 4 * 64
         # Reused pairs must still be same-path pairs with consistent d_ref.
         assert np.array_equal(
@@ -183,7 +184,7 @@ class TestGpuEngineDetails:
         cfg = GpuKernelConfig(warp_merging=True)
         engine = OptimizedGpuEngine(small_synthetic, fast_params, cfg)
         rng = engine.make_rng()
-        batch = engine.draw_batch(rng, 128, iteration=0, batch_index=0)
+        batch = draw_segment(engine.sampler, rng, 128, 0, engine.recipe)
         cooling = batch.in_cooling.reshape(-1, 32)
         assert np.all(cooling.min(axis=1) == cooling.max(axis=1))
 
@@ -191,7 +192,7 @@ class TestGpuEngineDetails:
         cfg = GpuKernelConfig.baseline()
         engine = OptimizedGpuEngine(small_synthetic, fast_params, cfg)
         rng = engine.make_rng()
-        batch = engine.draw_batch(rng, 1024, iteration=0, batch_index=0)
+        batch = draw_segment(engine.sampler, rng, 1024, 0, engine.recipe)
         cooling = batch.in_cooling.reshape(-1, 32)
         mixed_warps = np.any(cooling, axis=1) & ~np.all(cooling, axis=1)
         assert mixed_warps.any()

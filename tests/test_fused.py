@@ -1,25 +1,30 @@
-"""Fused per-iteration execution path: contract, byte-identity, fallbacks.
+"""Fused per-iteration execution path: contract, byte-identity, routing.
 
-The fused path (``LayoutParams(fused=...)`` → ``backend.run_iteration``) is
-an execution strategy, not an algorithm change: on the NumPy backend a fused
-run must be *byte-identical* to the classic per-batch loop for every engine
-and merge policy, while dispatching into the backend O(1) times per
-iteration instead of O(n_batches). These tests pin that contract — plus the
-megablock draw-order equivalence, the hook/history fallbacks, the CLI
-plumbing, and (via a stubbed ``numba`` module executing the ``@njit`` source
-as plain Python) the fused Numba kernel's selection/merge logic on machines
-without the JIT toolchain.
+Every engine runs its iterations through ``backend.run_iteration``, an
+execution strategy, not an algorithm change: on the NumPy backend a run
+must be *byte-identical* to the per-batch loop it replaced
+(``tests/per_batch_reference.py``) for every engine and merge policy, while
+dispatching into the backend O(1) times per iteration instead of
+O(n_batches). These tests pin that contract — plus the megablock
+draw-order equivalence, the history probe, the deprecated ``fused`` option,
+which plans take device selection, and (via a stubbed ``numba`` module
+executing the ``@njit`` source as plain Python) the fused Numba kernel's
+selection/merge logic and which plans it runs, on machines without the JIT
+toolchain.
 """
 from __future__ import annotations
 
 import importlib
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
 
+from per_batch_reference import PerBatchRun
 from repro.backend import get_backend
+from repro.backend.numpy_backend import NumpyBackend
 from repro.core import (
     BatchedLayoutEngine,
     CpuBaselineEngine,
@@ -35,6 +40,7 @@ from repro.core import (
     uniform_call_plan,
 )
 from repro.core.fused import iteration_draws
+from repro.core.selection import DrawRecipe
 from repro.prng import Xoshiro256Plus
 from repro.synth import PangenomeConfig, simulate_pangenome
 
@@ -107,63 +113,74 @@ class TestEngineFusedPath:
                                             SerialReferenceEngine))
     def test_fused_byte_identical_to_unfused(self, fused_graph, engine_cls,
                                              merge):
-        unfused = engine_cls(fused_graph, _params(merge, fused=False)).run()
-        fused = engine_cls(fused_graph, _params(merge, fused=True)).run()
+        unfused = PerBatchRun(engine_cls(fused_graph, _params(merge))).run()
+        fused = engine_cls(fused_graph, _params(merge)).run()
         np.testing.assert_array_equal(fused.layout.coords,
                                       unfused.layout.coords)
         assert fused.total_terms == unfused.total_terms
         assert fused.counters["fused_iterations"] == 4.0
-        assert unfused.counters["fused_iterations"] == 0.0
 
     def test_auto_resolves_to_fused_on_numpy(self, fused_graph):
         result = CpuBaselineEngine(fused_graph, _params()).run()
-        assert result.counters["fused_iterations"] > 0
+        assert result.counters["fused_iterations"] == result.iterations
 
     def test_dispatches_are_o1_per_iteration(self, fused_graph):
-        fused = CpuBaselineEngine(fused_graph, _params(fused=True)).run()
-        unfused = CpuBaselineEngine(fused_graph, _params(fused=False)).run()
+        fused = CpuBaselineEngine(fused_graph, _params()).run()
+        unfused = PerBatchRun(CpuBaselineEngine(fused_graph, _params())).run()
         assert fused.counters["update_dispatches"] == fused.iterations
         assert (unfused.counters["update_dispatches"]
-                > unfused.counters["fused_iterations"] + unfused.iterations)
+                > unfused.iterations)
 
-    def test_engines_with_batch_hooks_force_unfused(self, fused_graph):
-        batch = BatchedLayoutEngine(fused_graph,
-                                    _params(fused=True, batch_size=32))
-        gpu = OptimizedGpuEngine(fused_graph, _params(fused=True))
+    def test_modelled_engines_take_the_fused_iteration(self, fused_graph):
+        batch = BatchedLayoutEngine(fused_graph, _params(batch_size=32))
+        gpu = OptimizedGpuEngine(fused_graph, _params())
         for engine in (batch, gpu):
-            assert not engine.fused_active()
             result = engine.run()
-            assert result.counters["fused_iterations"] == 0.0
-        # The hook still fired: the batched engine kept its launch accounting.
+            assert result.counters["fused_iterations"] == result.iterations
+            assert result.counters["update_dispatches"] == result.iterations
+        # The launch accounting is derived from the plan.
         assert batch.op_profile.total_launches > 0
 
-    def test_record_history_forces_unfused(self, fused_graph):
-        engine = CpuBaselineEngine(fused_graph,
-                                   _params(fused=True, record_history=True))
-        assert not engine.fused_active()
+    def test_record_history_probes_inside_the_fused_iteration(self,
+                                                              fused_graph):
+        engine = CpuBaselineEngine(fused_graph, _params(record_history=True))
         result = engine.run()
-        assert result.counters["fused_iterations"] == 0.0
+        assert result.counters["fused_iterations"] == result.iterations
         assert len(result.history) == 4
+        # One dispatch per iteration: the probe rides in the first chunk.
+        assert result.counters["update_dispatches"] == result.iterations
 
-    def test_fused_false_forces_per_batch(self, fused_graph):
-        engine = CpuBaselineEngine(fused_graph, _params(fused=False))
-        assert not engine.fused_active()
+    def test_fused_option_is_a_deprecated_no_op(self, fused_graph):
+        plain = CpuBaselineEngine(fused_graph, _params()).run()
+        for value in (True, False):
+            with pytest.warns(FutureWarning, match="fused option"):
+                params = _params(fused=value)
+            result = CpuBaselineEngine(fused_graph, params).run()
+            assert result.layout.coords.tobytes() == plain.layout.coords.tobytes()
+            assert result.counters["fused_iterations"] == result.iterations
 
-    def test_multilevel_threads_fused_through_levels(self, fused_graph):
+    def test_multilevel_threads_fused_through_levels(self, fused_graph,
+                                                     monkeypatch):
         from repro.multilevel import MultilevelDriver
 
-        params = _params(fused=True).with_(levels=2)
-        flat_unfused = MultilevelDriver(
-            fused_graph, params.with_(fused=False), engine="cpu").run()
+        params = _params().with_(levels=2)
         fused = MultilevelDriver(fused_graph, params, engine="cpu").run()
+        assert fused.counters["fused_iterations"] == fused.iterations
+        build = MultilevelDriver._make_level_engine
+        monkeypatch.setattr(MultilevelDriver, "_make_level_engine",
+                            lambda self, *a: PerBatchRun(build(self, *a)))
+        unfused = MultilevelDriver(fused_graph, params, engine="cpu").run()
         np.testing.assert_array_equal(fused.layout.coords,
-                                      flat_unfused.layout.coords)
+                                      unfused.layout.coords)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
             LayoutParams(fused="yes")
-        assert LayoutParams(fused=True).fused is True
-        assert LayoutParams().fused is None
+        with pytest.warns(FutureWarning):
+            assert LayoutParams(fused=True).fused is True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # None (perfbench passes it) is silent
+            assert LayoutParams(fused=None).fused is None
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +250,34 @@ class TestRunIterationContract:
         # backend's name (PR 8: uploaded once per run, not once per chunk).
         assert f"arrays/{backend.name}" in fplan.scratch
         assert f"arrays/{backend.name}" not in fplan.cache
+
+    @pytest.mark.parametrize("recipe", [DrawRecipe(warp=4, warp_paths=True,
+                                                   reuse=2),
+                                        DrawRecipe(hop=3)],
+                             ids=["gpu-model", "fixed-hop"])
+    def test_device_selection_applies_to_stock_recipe_only(
+            self, fused_graph, recipe):
+        """Per-warp and fixed-hop plans select on the host even when the
+        backend asks for device selection."""
+
+        class Deviceish(NumpyBackend):
+            fused_device_selection = True
+
+        host, device = get_backend("numpy"), Deviceish()
+        base = initialize_layout(fused_graph, seed=5).coords
+        got = {}
+        for backend in (host, device):
+            fplan = FusedIterationPlan(
+                sampler=PairSampler(fused_graph, _params()), merge="hogwild",
+                plan=[16, 16, 5], n_streams=8, recipe=recipe,
+                workspace=UpdateWorkspace(16, backend=backend))
+            rng = Xoshiro256Plus(9, n_streams=8)
+            got[backend.name] = base.copy()
+            backend.run_iteration(
+                fplan, got[backend.name],
+                rng.next_double_block(fplan.calls_per_iteration), 0.5, 0)
+            assert not any(key.startswith("arrays/") for key in fplan.scratch)
+        assert got[host.name].tobytes() == got[device.name].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +353,55 @@ class TestNumbaFusedKernel:
         stub_stats = run(stub_backend, got)
         assert stub_stats == ref_stats
         np.testing.assert_allclose(got, expect, atol=1e-9, rtol=0)
+
+    def test_compiled_kernel_runs_stock_plans_without_probe_only(
+            self, fused_graph, numba_backend_module, monkeypatch):
+        """Stock-recipe plans without a history probe run the compiled
+        kernel; the GPU model's and fixed-hop recipes and probing plans go
+        to the generic ``run_iteration_host``, with the same layouts."""
+        import repro.core.fused as fused_mod
+
+        calls = {"kernel": 0, "host": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(numba_backend_module, "_fused_iteration_kernel",
+                            counting("kernel", numba_backend_module
+                                     ._fused_iteration_kernel))
+        monkeypatch.setattr(fused_mod, "run_iteration_host",
+                            counting("host", fused_mod.run_iteration_host))
+        params = _params(iter_max=2)
+        runs = {
+            "cpu": (lambda: CpuBaselineEngine(fused_graph, params), "kernel"),
+            "batch": (lambda: BatchedLayoutEngine(
+                fused_graph, params.with_(batch_size=32)), "kernel"),
+            "history": (lambda: CpuBaselineEngine(
+                fused_graph, params.with_(record_history=True)), "host"),
+            "gpu": (lambda: OptimizedGpuEngine(fused_graph, params), "host"),
+        }
+        for name, (make, path) in runs.items():
+            expect = make().run()
+            engine = make()
+            engine.backend = numba_backend_module.NumbaBackend()
+            calls.update(kernel=0, host=0)
+            got = engine.run()
+            assert calls[path] == 2, name
+            assert calls["kernel" if path == "host" else "host"] == 0, name
+            np.testing.assert_allclose(got.layout.coords, expect.layout.coords,
+                                       atol=1e-9, rtol=0)
+            assert got.history == expect.history
+        serial = SerialReferenceEngine(fused_graph, params.with_(iter_max=1))
+        expect = serial.run_fixed_hop(hop=3)
+        serial.backend = numba_backend_module.NumbaBackend()
+        calls.update(kernel=0, host=0)
+        got = serial.run_fixed_hop(hop=3)
+        assert calls == {"kernel": 0, "host": 1}
+        np.testing.assert_allclose(got.layout.coords, expect.layout.coords,
+                                   atol=1e-9, rtol=0)
 
     def test_merge_scatter_kernel_matches_reference(self, numba_backend_module,
                                                     fused_graph):

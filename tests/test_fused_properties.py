@@ -3,10 +3,11 @@
 The example-based fused tests pin byte-identity on a handful of fixed
 graphs; this module drives the same contract over *randomised* small
 pangenomes × merge policies × engine shapes: for every drawn configuration
-the fused per-iteration path and the classic per-batch loop must produce
-layouts within 1e-9 — and byte-identical on the NumPy backend, which is the
-stronger form actually asserted (any available non-NumPy backend is held to
-the 1e-9 form in ``tests/test_conformance.py``'s fused axis).
+the fused per-iteration path and the per-batch loop it replaced
+(``tests/per_batch_reference.py``) must produce layouts within 1e-9 — and
+byte-identical on the NumPy backend, which is the stronger form actually
+asserted (any available non-NumPy backend is held to the 1e-9 form in
+``tests/test_conformance.py``'s fused axis).
 
 ``hypothesis`` is an optional dev dependency: when it is not installed the
 module skips at collection time, keeping the tier-1 suite runnable from the
@@ -21,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from per_batch_reference import PerBatchRun  # noqa: E402
 from repro.core import (  # noqa: E402
     CpuBaselineEngine,
     LayoutParams,
@@ -81,12 +83,10 @@ def test_fused_equals_unfused_on_random_graphs(graph_seed, backbone, paths,
         cooling_start=cooling_start,
         backend="numpy",
     )
-    unfused = CpuBaselineEngine(graph, params.with_(fused=False),
-                                hogwild_round=hogwild_round).run()
-    fused_engine = CpuBaselineEngine(graph, params.with_(fused=True),
-                                     hogwild_round=hogwild_round)
-    fused = fused_engine.run()
-    assert fused_engine.fused_active()
+    unfused = PerBatchRun(CpuBaselineEngine(
+        graph, params, hogwild_round=hogwild_round)).run()
+    fused = CpuBaselineEngine(graph, params, hogwild_round=hogwild_round).run()
+    assert fused.counters["fused_iterations"] == fused.iterations
     assert fused.total_terms == unfused.total_terms
     # ≤1e-9 is the cross-backend contract; NumPy is held to byte-identity.
     np.testing.assert_allclose(fused.layout.coords, unfused.layout.coords,
@@ -121,7 +121,6 @@ def test_memory_budget_never_moves_layout(graph_seed, backbone, paths,
         seed=engine_seed,
         merge_policy=merge,
         backend="numpy",
-        fused=True,
     )
     unchunked = CpuBaselineEngine(graph, params).run()
     chunked = CpuBaselineEngine(graph,
@@ -145,8 +144,7 @@ def test_memory_budget_never_moves_worker_sliced_layout(engine_seed, workers,
 
     graph = _graph_for(1, 30, 3, 10, 5)
     params = LayoutParams(iter_max=2, steps_per_step_unit=1.0,
-                          seed=engine_seed, backend="numpy", fused=True,
-                          workers=workers)
+                          seed=engine_seed, backend="numpy", workers=workers)
     unchunked = run_workers_inline(graph, params)
     chunked = run_workers_inline(graph, params.with_(memory_budget=budget))
     np.testing.assert_array_equal(chunked.layout.coords,
@@ -164,6 +162,6 @@ def test_fused_serial_reference_equals_unfused(merge, engine_seed):
     params = LayoutParams(iter_max=2, steps_per_step_unit=1.0,
                           seed=engine_seed, merge_policy=merge,
                           backend="numpy")
-    unfused = SerialReferenceEngine(graph, params.with_(fused=False)).run()
-    fused = SerialReferenceEngine(graph, params.with_(fused=True)).run()
+    unfused = PerBatchRun(SerialReferenceEngine(graph, params)).run()
+    fused = SerialReferenceEngine(graph, params).run()
     np.testing.assert_array_equal(fused.layout.coords, unfused.layout.coords)

@@ -286,7 +286,7 @@ class TestCLI:
         lay = tmp_path / "out.lay"
         svg = tmp_path / "out.svg"
         code = main([
-            "--dataset", "HLA-DRB1", "--scale", "0.05", "--gpu",
+            "layout", "--dataset", "HLA-DRB1", "--scale", "0.05", "--gpu",
             "--iter-max", "3", "--steps-factor", "1.0",
             "--out-lay", str(lay), "--out-svg", str(svg), "--stress",
         ])
@@ -301,8 +301,8 @@ class TestCLI:
         gfa = tmp_path / "toy.gfa"
         write_gfa(fig1_graph, gfa)
         tsv = tmp_path / "toy.tsv"
-        code = main(["--gfa", str(gfa), "--iter-max", "2", "--steps-factor", "1.0",
-                     "--out-tsv", str(tsv)])
+        code = main(["layout", "--gfa", str(gfa), "--iter-max", "2",
+                     "--steps-factor", "1.0", "--out-tsv", str(tsv)])
         assert code == 0
         assert tsv.exists()
         assert "layout complete" in capsys.readouterr().out

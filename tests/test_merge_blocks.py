@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import merge_reference as ref
 import repro.core.fused as fused_mod
 import repro.core.updates as updates_mod
+from per_batch_reference import PerBatchRun
 from repro.backend import ArrayBackend, get_backend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.core import (
@@ -250,7 +251,7 @@ class TestRunPath:
         monkeypatch.setattr(NumpyBackend, "merge_scatter",
                             counting("scatter", NumpyBackend.merge_scatter))
         params = LayoutParams(iter_max=2, steps_per_step_unit=3.0, seed=5,
-                              backend="numpy", fused=True)
+                              backend="numpy")
         engine = CpuBaselineEngine(small_synthetic, params)
         plan = engine.batch_plan(params.steps_per_iteration(
             small_synthetic.total_steps))
@@ -264,10 +265,10 @@ class TestRunPath:
     def test_engine_paths_agree(self, small_synthetic, merge):
         params = LayoutParams(iter_max=3, steps_per_step_unit=3.0, seed=21,
                               backend="numpy", merge_policy=merge)
-        blocks = CpuBaselineEngine(small_synthetic, params.with_(fused=True)).run()
+        blocks = CpuBaselineEngine(small_synthetic, params).run()
         single = CpuBaselineEngine(small_synthetic,
-                                   params.with_(fused=True, memory_budget=1)).run()
-        unfused = CpuBaselineEngine(small_synthetic, params.with_(fused=False)).run()
+                                   params.with_(memory_budget=1)).run()
+        unfused = PerBatchRun(CpuBaselineEngine(small_synthetic, params)).run()
         for other in (single, unfused):
             assert other.layout.coords.tobytes() == blocks.layout.coords.tobytes()
             assert (other.counters["point_collisions"]
