@@ -9,8 +9,8 @@ and every substrate its evaluation depends on:
 * :mod:`repro.prng` — Xoshiro256+ / XORWOW generators with AoS/SoA states;
 * :mod:`repro.core` — the CPU baseline, the batched PyTorch-style engine and
   the optimized GPU kernel with the paper's three optimisations;
-* :mod:`repro.backend` — pluggable array backends for the hot path (NumPy
-  always; Numba / CuPy registered lazily when available);
+* :mod:`repro.backend` — the array-backend registry of the hot path (NumPy)
+  and the compiled exact C kernels (:mod:`repro.backend.cext`);
 * :mod:`repro.multilevel` — path-preserving chain-contraction hierarchy and
   the coarse-to-fine V-cycle driver (``LayoutParams(levels=N)``);
 * :mod:`repro.gpusim` — the GPU execution-model simulator (coalescing, caches,

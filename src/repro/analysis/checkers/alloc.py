@@ -17,8 +17,8 @@ scanned over their *whole* body, loop or not: the engine calls them every
 iteration, so a function-top allocation there is a steady-state allocation
 even though no loop syntax surrounds it. (This is the extension that would
 have caught ``iteration_draws`` allocating its ``(8, total_terms)``
-selection block afresh each iteration — fixed in PR 8 by hoisting the
-buffer into the plan cache.)
+selection block afresh each iteration — since fixed by one draws buffer
+per run, shared by its chunk plans.)
 The chunk loop ``step_units`` and every engine's per-iteration ``step``
 are among them.
 

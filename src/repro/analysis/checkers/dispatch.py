@@ -5,8 +5,8 @@ The host/device seam: code that has been handed an execution backend (an
 its array math *through* it. A module-level ``np.`` call inside such a
 function silently pins the operation to host NumPy — correct on the numpy
 backend, a device-residency break (implicit transfer or outright
-``TypeError``) on cupy, which is exactly the regression class the
-conformance matrix only catches a PR later.
+``TypeError``) on a device backend, which is exactly the regression class
+the conformance matrix only catches a PR later.
 
 Flagged: ``np.<fn>(...)`` / ``numpy.<fn>(...)`` calls inside any function
 with a parameter named ``xp`` or ``backend``. Not flagged: attribute

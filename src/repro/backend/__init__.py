@@ -1,12 +1,10 @@
 """Pluggable array backends for the layout hot path.
 
 ``repro.backend`` decouples the numerical kernels (:mod:`repro.core.updates`,
-:mod:`repro.core.selection`, the three engines) from NumPy: every hot-path
-operation goes through an :class:`ArrayBackend`, and the registry maps names
-to ready backends — ``numpy`` always; ``numba`` (JIT-fused merge kernels)
-and ``cupy`` (device-resident coordinates) when their toolchains are present
-and their registration self-test passes. Select one via
-``LayoutParams(backend=...)``, the ``--backend`` CLI flag, or the
+:mod:`repro.core.fused`, the engines) from NumPy: every hot-path operation
+goes through an :class:`ArrayBackend`, and the registry maps names to ready,
+self-tested backends. ``numpy`` is the one registered backend. Select one
+via ``LayoutParams(backend=...)``, the ``--backend`` CLI flag, or the
 ``REPRO_BACKEND`` environment variable.
 
 See :mod:`repro.backend.registry` for how to register a new backend and
@@ -52,21 +50,4 @@ def _numpy_factory() -> ArrayBackend:
     return NumpyBackend()
 
 
-def _numba_factory() -> ArrayBackend:
-    # Import happens here, not at package import: a missing/broken numba is
-    # an *availability* fact recorded by the registry, never an import error
-    # for `import repro`.
-    from .numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
-def _cupy_factory() -> ArrayBackend:
-    from .cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 register_backend("numpy", _numpy_factory)
-register_backend("numba", _numba_factory)
-register_backend("cupy", _cupy_factory)

@@ -5,21 +5,14 @@ handful of operations the update hot path cannot express portably through
 that namespace alone: touched-point compaction, the three write-merge
 scatters, row-wise squared norms, and host/device transfers. The generic
 implementations here are written against ``self.xp`` only, so a subclass
-that merely swaps the namespace (CuPy) inherits working kernels, while a
-subclass keeping NumPy arrays (Numba) overrides just the merge kernels it
-accelerates.
+that merely swaps the namespace inherits working kernels, and a subclass
+keeping NumPy arrays overrides just the kernels it accelerates.
 
-Two namespaces are exposed on purpose:
-
-* ``xp`` — where the *coordinate state* lives and the update arithmetic
-  runs. This is the namespace :class:`~repro.core.updates.UpdateWorkspace`
-  allocates its scratch buffers from.
-* ``host_xp`` — where PRNG-driven *selection* runs. Term selection consumes
-  multi-stream PRNGs that produce host arrays, so every current backend
-  keeps selection on NumPy and transfers the selected terms to ``xp``
-  inside :func:`~repro.core.updates.prepare_block` (a no-op when
-  ``xp is numpy``); only :attr:`ArrayBackend.fused_device_selection`
-  moves stock-recipe selection onto the device.
+``xp`` is where the *coordinate state* lives and the update arithmetic
+runs: :class:`~repro.core.updates.UpdateWorkspace` allocates its buffers
+from it. Term selection runs on host NumPy, where the PRNG streams produce
+their draws; :func:`~repro.core.updates.prepare_block` coerces the selected
+terms into ``xp`` (a no-op when ``xp is numpy``).
 
 Determinism contract: on the default NumPy backend every operation here must
 be *the exact call sequence* the pre-backend code issued, so layouts — and
@@ -77,17 +70,6 @@ class ArrayBackend:
 
     #: Array namespace holding coordinate state and workspace buffers.
     xp: Any = None
-
-    #: Namespace for PRNG-driven selection (host-side for all current backends).
-    host_xp: Any = np
-
-    #: When ``True``, :func:`repro.core.fused.run_iteration_host` uploads a
-    #: stock-recipe chunk's uniform megablock once and runs term *selection*
-    #: in this backend's namespace over a device-resident selection bundle,
-    #: instead of selecting on the host and shipping the terms across. Other
-    #: recipes (the GPU model's per-warp draws, the fixed hop) select on the
-    #: host. Host backends keep the default (their ``xp`` is the host).
-    fused_device_selection: bool = False
 
     # ------------------------------------------------------------- memory
     def empty(self, shape, dtype) -> Any:
@@ -194,18 +176,15 @@ class ArrayBackend:
         Under ``LayoutParams.memory_budget`` the engine calls this once per
         budget-sized *chunk* of the iteration's batch plan instead of once
         per iteration (:func:`~repro.core.fused.build_iteration_plans`);
-        each chunk arrives as its own plan object with its own ``cache``, so
-        implementations that stash plan-shaped derived state (device
-        arrays, compiled-arg tuples) need no chunk awareness — the two
-        invariants above already make chunked execution byte-identical.
-        Implementations must size transients to *this plan's* terms, never
-        to the whole iteration (enforced by the MEM001 contract check).
+        the two invariants above already make chunked execution
+        byte-identical. Implementations must size transients to *this
+        plan's* terms, never to the whole iteration (enforced by the MEM001
+        contract check).
 
-        The generic implementation executes through this backend's own
-        namespace and kernels (host selection, or device selection when
-        :attr:`fused_device_selection` is set); subclasses with a genuinely
-        fused kernel (Numba's single ``@njit`` loop) override it for the
-        plans that kernel covers and hand the rest back to it.
+        The generic implementation selects on the host and merges through
+        this backend's own namespace and kernels; a backend with a
+        compiled iteration kernel overrides it for the plans that kernel
+        covers and hands the rest back to it.
         """
         from ..core.fused import run_iteration_host  # runtime import: the
         # module dependency points core -> backend, never the reverse.

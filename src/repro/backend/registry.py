@@ -9,9 +9,10 @@ execution backend:
   a backend runs its factory *and its self-test*; a backend whose toolchain
   is missing or broken raises :class:`BackendUnavailable` with the recorded
   reason — every time, cheaply, without re-probing the import.
-* :func:`register_backend` adds a factory. Optional backends register a
-  factory whose import failures surface at instantiation time, so merely
-  importing :mod:`repro.backend` never imports numba or cupy.
+* :func:`register_backend` adds a factory. A backend that needs an optional
+  toolchain imports it inside its factory, so a missing toolchain surfaces
+  at instantiation time as a recorded reason, never as an import error of
+  :mod:`repro.backend`.
 * :func:`available_backends` probes every registered factory and returns the
   names that instantiate and pass their self-test — what the conformance
   suite parametrises over (unavailable ones become pytest skips, not

@@ -2,7 +2,7 @@
 
 These are the only smoke metrics *measured* in wall-clock time rather than
 modelled deterministically. They exist because the hot path's scaling
-contract — ``apply_batch`` must cost O(batch), never O(graph) (paper
+contract — a merge must cost O(batch), never O(graph) (paper
 Sec. V-B's cache-friendly discipline applied to the shared NumPy kernel) —
 regressed silently once before: the hogwild merge allocated two graph-sized
 scratch arrays per 256-term batch, making the default policy ~7× slower than
@@ -25,7 +25,7 @@ import numpy as np
 
 from ...core import PairSampler, initialize_layout
 from ...core.cpu_baseline import CpuBaselineEngine
-from ...core.updates import UpdateWorkspace, apply_batch
+from ...core.updates import UpdateWorkspace, merge_batch
 from ...prng.xoshiro import Xoshiro256Plus, lane_count
 from ..registry import CaseResult, bench_case
 from ..tables import format_table
@@ -68,33 +68,30 @@ def _best_ms(fn: Callable[[], object], inner: int, repeats: int = 7,
 
 @bench_case("perf_apply_batch", source="Sec. V-B (hot path)", suites=("smoke",))
 def run_apply_batch(ctx) -> CaseResult:
-    """apply_batch wall time per merge policy: O(batch), not O(graph)."""
+    """One-segment ``merge_batch`` wall time per merge policy: O(batch), not
+    O(graph). ``merge_batch`` is the merge every engine runs per block."""
     graph = ctx.perf_graph
     sampler = PairSampler(graph, ctx.smoke_params)
     rng = Xoshiro256Plus(ctx.seed_for("perf_apply_batch/sample"), n_streams=_BATCH)
     batch = sampler.sample(rng, _BATCH, iteration=0)
     coords = initialize_layout(graph, seed=ctx.seed_for("perf_apply_batch/init")).coords
     # The workspace carries the run's backend (``--backend`` / REPRO_BACKEND)
-    # and the coordinate state is uploaded into its memory space, so these
-    # wall times measure whichever merge kernels the run selected. The
-    # synchronize() in the timed closure makes device backends report
-    # completed work, not launch overhead; on host backends both transfer
-    # and sync are identities.
+    # and the coordinate state is moved into its memory space, so these
+    # wall times measure whichever merge kernels the run selected.
     backend = ctx.backend
     workspace = UpdateWorkspace(_BATCH, backend=backend)
 
     out = CaseResult(graph_properties=ctx.graph_properties(graph))
-    probe = apply_batch(backend.from_host(coords.copy()), batch, eta=1.0,
-                        workspace=workspace)
-    out.add("point_collisions", probe.n_point_collisions, direction="info")
+    _, collisions = merge_batch(backend.from_host(coords.copy()), batch, 1.0,
+                                "hogwild", workspace)
+    out.add("point_collisions", collisions, direction="info")
     rows = []
     timings = {}
     for merge in ("hogwild", "accumulate", "last_writer"):
         working = backend.from_host(coords.copy())
 
         def one_batch(working=working, merge=merge):
-            apply_batch(working, batch, eta=1.0, merge=merge, workspace=workspace)
-            backend.synchronize()
+            merge_batch(working, batch, 1.0, merge, workspace)
 
         ms = _best_ms(one_batch, inner=200)
         timings[merge] = ms
@@ -116,7 +113,7 @@ def run_apply_batch(ctx) -> CaseResult:
             direction="lower", deterministic=False)
     out.tables.append(format_table(
         ["Merge policy", "ms / 256-term batch"], rows,
-        title="Smoke: apply_batch hot-path wall time (Chr.1-like)",
+        title="Smoke: merge_batch hot-path wall time (Chr.1-like)",
     ))
     return out
 

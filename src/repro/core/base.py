@@ -102,6 +102,9 @@ def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
             block = rng.next_double_block(chunk.calls_per_iteration)  # mem-ok: chunk plans are budget-bounded (a worker's by its budget share); the unbudgeted single chunk is the documented opt-in default
             c1 = tracer.now() if trace else 0.0
             stats = backend.run_iteration(chunk, coords, block, eta, iteration)
+            # Free this chunk's megablock before the next chunk draws its
+            # own: a budget prices one chunk in flight, not two.
+            del block
             if trace:
                 draw_s += c1 - c0
                 disp_s += tracer.now() - c1
@@ -249,8 +252,7 @@ class LayoutEngine:
         # An unavailable backend fails here, before any work is done.
         self.backend: ArrayBackend = get_backend(self.params.backend)
         self.index = PathIndex(graph)
-        self.sampler = PairSampler(graph, self.params, self.index,
-                                   backend=self.backend)
+        self.sampler = PairSampler(graph, self.params, self.index)
         self.schedule = make_schedule(graph, self.params)
         # Observability (repro.obs): the typed metrics registry replaces the
         # old flat counter dict (add_counter/max_counter delegate into it);
@@ -389,6 +391,11 @@ class LayoutEngine:
         plan = self.batch_plan(steps_per_iter)
         workspace = self.make_workspace(plan)
         merge = self.merge_policy()
+        # Peak-memory accounting: max RSS always (cheap getrusage read);
+        # the tracemalloc delta only when a caller already pays for tracing.
+        # It starts before the plans are built, so it counts their shared
+        # draws buffer with the per-iteration transients.
+        mem = PeakTracker(trace=None).start()
         # The whole iteration — selection, displacement, merge — runs below
         # the backend seam over pre-drawn uniform megablocks
         # (repro.core.fused). Without a memory budget that is one plan
@@ -416,9 +423,6 @@ class LayoutEngine:
         self.add_counter("fused_iterations", float(params.iter_max))
         if trace:
             tracer.emit("schedule", t_sched, tracer.now() - t_sched)
-        # Peak-memory accounting: max RSS always (cheap getrusage read);
-        # the tracemalloc delta only when a caller already pays for tracing.
-        mem = PeakTracker(trace=None).start()
         yield Session(step, workers=params.workers)
         self.backend.synchronize()
         mem.stop()

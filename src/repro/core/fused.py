@@ -28,26 +28,27 @@ block, and the coordinate work still runs segment by segment in plan order,
 so blocks change no value. Under data reuse the blocks are built over the
 expanded segments.
 
-Memory is bounded, not O(iteration). The whole-iteration megablock costs
-~:data:`FUSED_BYTES_PER_TERM` bytes of transient state per term, which is
-fine at smoke scale and fatal at the paper's chromosome-scale workloads
-(~10^8 terms/iteration). Under ``LayoutParams(memory_budget=...)`` the
-engine therefore splits each iteration's plan into contiguous segment
-*chunks* (:func:`chunk_spans` / :func:`build_iteration_plans`) and runs one
-dispatch per chunk. Chunk boundaries are segment boundaries and the bulk
-PRNG draw is interchangeable mid-stream, so drawing and dispatching the
-chunks in plan order consumes identical stream state and executes the
-identical per-segment computation — budgeted layouts are byte-identical to
+Memory is bounded, not O(iteration). A whole iteration in flight costs
+its megablock plus ~320 bytes of other transient state per term (see
+:data:`FUSED_BYTES_PER_TERM`), which is fine at smoke scale and fatal at
+the paper's chromosome-scale workloads (~10^8 terms/iteration). Under
+``LayoutParams(memory_budget=...)`` the engine therefore splits each
+iteration's plan into contiguous segment *chunks* (:func:`chunk_spans` /
+:func:`build_iteration_plans`) and runs one dispatch per chunk. Chunk
+boundaries are segment boundaries and the bulk PRNG draw is
+interchangeable mid-stream, so drawing and dispatching the chunks in plan
+order consumes identical stream state and executes the identical
+per-segment computation — budgeted layouts are byte-identical to
 unbudgeted ones on the NumPy backend, for every budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .selection import STOCK_RECIPE, DrawRecipe, PairSampler, SelectionArrays, StepBatch
+from .selection import STOCK_RECIPE, DrawRecipe, PairSampler, StepBatch
 from .updates import UpdateWorkspace, batch_stress, merge_batch
 
 __all__ = [
@@ -64,13 +65,16 @@ __all__ = [
     "slice_plan",
 ]
 
-#: Conservative estimate of the fused path's peak transient bytes per term,
-#: used by :func:`chunk_spans` to turn a byte budget into a term budget. The
-#: dominant residents while a chunk is in flight: the uniform megablock
-#: (8 vectors × 8 B = 64 B/term), the re-laid selection block (64),
-#: its transpose/reshape temporary (64), and the selection pass's per-term
-#: index/distance vectors plus the StepBatch views (~190). Measured peaks on
-#: the ``scale`` bench suite sit below this figure; keeping the estimate
+#: Conservative estimate of the fused path's peak transient bytes per term
+#: on one PRNG stream, used by :func:`chunk_spans` to turn a byte budget
+#: into segment chunks. The dominant residents while a chunk is in flight:
+#: the uniform megablock (8 vectors × 8 B = 64 B/term on one stream), the
+#: re-laid selection block (64), its transpose/reshape temporary (64), and
+#: the selection pass's per-term index/distance vectors plus the StepBatch
+#: views (~190). On ``n`` streams a segment's megablock rows are ``n``
+#: wide however few terms it has, so :func:`chunk_spans` prices the
+#: megablock per segment and only the rest per term. Measured peaks on the
+#: ``scale`` bench suite sit below this figure; keeping the estimate
 #: conservative means a budget is an upper bound, not a target.
 FUSED_BYTES_PER_TERM = 384
 
@@ -157,19 +161,25 @@ def slice_plan(plan: List[int], workers: int) -> List[List[int]]:
 
 
 def chunk_spans(plan: List[int], memory_budget: Optional[int] = None,
-                bytes_per_term: int = FUSED_BYTES_PER_TERM) -> List[Tuple[int, int]]:
+                bytes_per_term: int = FUSED_BYTES_PER_TERM,
+                n_streams: int = 1,
+                recipe: DrawRecipe = STOCK_RECIPE) -> List[Tuple[int, int]]:
     """Pack a batch plan's segments into contiguous budget-sized chunks.
 
     Returns half-open ``(start, end)`` segment-index spans covering ``plan``
     in order. ``memory_budget=None`` returns the single whole-plan span —
     the historical one-dispatch-per-iteration behaviour. Otherwise segments
-    are packed greedily so each chunk's term count stays within
-    ``memory_budget // bytes_per_term``; segments are the merge-semantics
-    quantum and are never split, so a budget smaller than one segment
-    degrades to one segment per chunk (the footprint floor) rather than
-    failing. Chunk boundaries land on segment boundaries by construction,
-    which is what lets the draw-order contract guarantee budgeted runs are
-    byte-identical to unbudgeted ones.
+    are packed greedily so each chunk's cost stays within
+    ``memory_budget`` bytes. A segment costs its megablock rows,
+    ``recipe.segment_calls(size, n_streams) × n_streams`` doubles, plus
+    ``bytes_per_term`` less the megablock's one-stream 8 B per vector for
+    each term data reuse expands it to; with one stream and the stock
+    recipe that is ``bytes_per_term`` per term. Segments are the
+    merge-semantics quantum and are never split, so a budget smaller than
+    one segment degrades to one segment per chunk (the footprint floor)
+    rather than failing. Chunk boundaries land on segment boundaries by
+    construction, which is what lets the draw-order contract guarantee
+    budgeted runs are byte-identical to unbudgeted ones.
     """
     n_seg = len(plan)
     if n_seg == 0:
@@ -178,19 +188,23 @@ def chunk_spans(plan: List[int], memory_budget: Optional[int] = None,
         return [(0, n_seg)]
     if memory_budget < 1:
         raise ValueError("memory_budget must be a positive number of bytes")
-    if bytes_per_term < 1:
-        raise ValueError("bytes_per_term must be >= 1")
-    target_terms = max(1, int(memory_budget) // int(bytes_per_term))
+    per_vector = 8  # megablock bytes per term and vector on one stream
+    if bytes_per_term <= per_vector * recipe.vectors:
+        raise ValueError("bytes_per_term must exceed the one-stream megablock "
+                         f"share of {per_vector * recipe.vectors} B")
+    rest = (int(bytes_per_term) - per_vector * recipe.vectors) * recipe.reuse
     spans: List[Tuple[int, int]] = []
     start = 0
-    terms = 0
+    cost = 0
     for seg, batch in enumerate(plan):
         batch = int(batch)
-        if seg > start and terms + batch > target_terms:
+        seg_cost = (per_vector * n_streams * recipe.segment_calls(batch, n_streams)
+                    + rest * batch)
+        if seg > start and cost + seg_cost > memory_budget:
             spans.append((start, seg))
             start = seg
-            terms = 0
-        terms += batch
+            cost = 0
+        cost += seg_cost
     spans.append((start, n_seg))
     return spans
 
@@ -206,16 +220,12 @@ def build_iteration_plans(sampler: PairSampler, workspace: UpdateWorkspace,
 
     The chunked analogue of building a single whole-iteration plan: with no
     budget the returned list holds exactly one plan over the full batch plan
-    (identical dispatch economics to PR 5), with a budget each chunk gets
-    its *own* plan object — and therefore its own :attr:`cache`, because
-    backends stash chunk-shaped derived state there (the numba arg tuple
-    embeds the chunk's plan array and call counts). All chunks share the
-    caller's workspace *and* one :attr:`scratch` dict: chunks run strictly
-    sequentially, so chunk-invariant derived state — device copies of the
-    selection arrays, the re-laid draws buffer sized to the widest chunk —
-    lives once per run, not once per chunk. Without the shared scratch the
-    per-chunk caches would collectively re-materialise the whole
-    iteration's footprint, defeating the budget.
+    (one dispatch per iteration); with a budget, :func:`chunk_spans` cuts
+    it into chunks priced by their segments' real megablocks on
+    ``n_streams`` streams under ``recipe``. All chunks share the caller's
+    workspace *and* one :attr:`~FusedIterationPlan.draws` buffer sized to
+    the widest chunk: chunks run strictly sequentially, so the re-laid
+    draws state totals one chunk, not the whole iteration.
 
     Each iteration runs the chunks in order through
     :func:`repro.core.base.step_units`, one bulk draw and one backend
@@ -224,19 +234,19 @@ def build_iteration_plans(sampler: PairSampler, workspace: UpdateWorkspace,
     exactly the stream state one whole-iteration draw would have — chunked
     execution is byte-identical to unchunked on the NumPy backend.
 
-    Every chunk draws by ``recipe`` (data reuse counts each base term
-    ``reuse`` times against the budget); ``probe`` goes to the first chunk.
+    Every chunk draws by ``recipe``; ``probe`` goes to the first chunk.
     """
     plan = [int(b) for b in plan]
-    spans = chunk_spans(plan, memory_budget,
-                        FUSED_BYTES_PER_TERM * recipe.reuse)
-    if not spans:
-        spans = [(0, 0)]
-    scratch: Dict[str, object] = {}
+    spans = chunk_spans(plan, memory_budget, n_streams=n_streams,
+                        recipe=recipe) or [(0, 0)]
+    widest = max(sum(plan[start:end]) for start, end in spans)
+    # Allocated once per run, before the first iteration; every chunk of
+    # every iteration re-lays its draws into a view of it.
+    draws = np.empty((recipe.vectors, widest), dtype=np.float64)
     return [
         FusedIterationPlan(sampler=sampler, workspace=workspace, merge=merge,
                            plan=plan[start:end], n_streams=n_streams,
-                           scratch=scratch, tracer=tracer, recipe=recipe,
+                           draws=draws, tracer=tracer, recipe=recipe,
                            probe=probe and start == 0)
         for start, end in spans
     ]
@@ -257,15 +267,7 @@ class FusedIterationPlan:
     """Everything a backend needs to run whole iterations without the engine.
 
     Built once per :meth:`LayoutEngine.run` (one per budget chunk) and
-    passed to every ``backend.run_iteration`` call of the run. Backends may
-    stash derived state in two places, split by what it depends on:
-
-    * :attr:`cache` — *chunk-shaped* state (the numba arg pair embedding
-      this plan's segment array and call counts). Private to this plan.
-    * :attr:`scratch` — *chunk-invariant* state (device copies of the
-      selection arrays, the re-laid draws buffer). Shared by every chunk of
-      one :func:`build_iteration_plans` call; since chunks run sequentially
-      this keeps cached state O(chunk + graph) instead of O(iteration).
+    passed to every ``backend.run_iteration`` call of the run.
     """
 
     sampler: PairSampler
@@ -278,8 +280,11 @@ class FusedIterationPlan:
     #: Merge blocks of :attr:`plan` (:func:`block_plan`) as data reuse
     #: expands its segments.
     blocks: List[Tuple[int, int]] = field(init=False)
-    cache: Dict[str, object] = field(default_factory=dict)
-    scratch: Dict[str, object] = field(default_factory=dict)
+    #: ``(recipe.vectors, ≥ sum(plan))`` float64 buffer the chunk's draws
+    #: are re-laid into every iteration. :func:`build_iteration_plans`
+    #: shares one, sized to the widest chunk, across a run's chunks; a plan
+    #: built without one allocates its own.
+    draws: Optional[np.ndarray] = None
     #: Optional :class:`repro.obs.tracer.Tracer` (duck-typed to avoid a core
     #: -> obs import at dataclass-field level). When live, host-path fused
     #: execution attributes selection/merge time per chunk; ``None`` or a
@@ -300,28 +305,13 @@ class FusedIterationPlan:
         if self.probe and self.blocks and self.blocks[0][0] > 1:
             count, size = self.blocks[0]
             self.blocks[:1] = [(1, size), (count - 1, size)]
-
-    def device_arrays(self, backend) -> SelectionArrays:
-        """Selection arrays in ``backend``'s memory space, converted once.
-
-        Host backends get the sampler's bundle back untouched; device
-        backends pay one upload per run and afterwards select terms without
-        touching host memory.
-        """
-        key = f"arrays/{backend.name}"
-        arrays = self.scratch.get(key)
-        if arrays is None:
-            host = self.sampler.arrays
-            if backend.asarray(host.cum_steps) is host.cum_steps:
-                arrays = host
-            else:
-                arrays = SelectionArrays(*(backend.asarray(a) for a in host))
-            self.scratch[key] = arrays
-        return arrays
+        if self.draws is None:
+            self.draws = np.empty((self.recipe.vectors, sum(self.plan)),
+                                  dtype=np.float64)
 
 
 def iteration_draws(uniforms, plan: List[int], need_calls: np.ndarray,
-                    n_streams: int, xp=np, out=None,
+                    n_streams: int, out=None,
                     recipe: DrawRecipe = STOCK_RECIPE):
     """Re-lay the megablock's per-term vectors into one selection block.
 
@@ -334,15 +324,16 @@ def iteration_draws(uniforms, plan: List[int], need_calls: np.ndarray,
     keeps its per-segment value — the transform is pure layout.
 
     ``out``, when given, must be a ``(vectors, total_terms)`` float64
-    array in ``xp``'s namespace; it is filled and returned instead of
-    allocating. :func:`run_iteration_host` passes a view of the chunk-shared
-    scratch buffer, so steady-state iterations allocate nothing here (the
-    PR 2 zero steady-state-allocation contract).
+    array; it is filled and returned instead of allocating.
+    :func:`run_iteration_host` passes a view of the plan's
+    :attr:`~FusedIterationPlan.draws` buffer, so steady-state iterations
+    allocate nothing here (the hot path's zero steady-state-allocation
+    contract).
     """
     vectors = recipe.vectors
     n_terms = sum(int(b) for b in plan)
     if out is None:
-        out = xp.empty((vectors, n_terms), dtype=np.float64)  # alloc-ok: fallback for direct callers only; the fused run path passes the chunk-shared scratch buffer
+        out = np.empty((vectors, n_terms), dtype=np.float64)  # alloc-ok: fallback for direct callers only; the fused run path passes the plan's shared draws buffer
     elif out.shape != (vectors, n_terms):
         raise ValueError(
             f"out must have shape {(vectors, n_terms)}, got {out.shape}")
@@ -387,7 +378,7 @@ def draw_segment(sampler: PairSampler, rng, size: int, iteration: int,
 def run_iteration_host(backend, plan: FusedIterationPlan, coords,
                        uniforms: np.ndarray, eta: float,
                        iteration: int) -> FusedIterationStats:
-    """Generic fused iteration over the backend's array namespace.
+    """Generic fused iteration: host selection, merges through ``backend``.
 
     The reference implementation of the ``run_iteration`` contract, split
     the way the data dependencies allow:
@@ -404,38 +395,10 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
       segments in order, each reading coordinates as of its segment start
       and scattering through the backend's merge kernel; a probing plan
       samples the first segment's stress right after its merge.
-
-    On host backends the pass runs on NumPy; a backend advertising
-    ``fused_device_selection`` gets a stock-recipe megablock uploaded once
-    per chunk and selection executed in its own namespace over a
-    device-resident :class:`SelectionArrays` bundle, which is what stops
-    per-batch host→device round trips on CuPy.
     """
     sampler = plan.sampler
     recipe = plan.recipe
-    if recipe.stock and getattr(backend, "fused_device_selection", False):
-        xp = backend.xp
-        arrays = plan.device_arrays(backend)
-        uniforms = backend.asarray(uniforms)
-        draws_key = f"draws/{backend.name}"
-        draws_xp = xp
-    else:
-        xp = None
-        arrays = None
-        draws_key = "draws/host"
-        draws_xp = np
     n_terms = sum(plan.plan)  # this plan's terms: one budget chunk, not the iteration
-    buf = plan.scratch.get(draws_key)
-    if buf is None or buf.shape[1] < n_terms:
-        # Grown to the widest chunk during the first iteration, then reused
-        # by every chunk of every later one — the scratch is shared across
-        # the run's chunk plans (they execute sequentially), so the cached
-        # draws state totals one chunk, not the whole iteration. Hoisting
-        # this (vectors, n_terms) block out of the per-iteration path is
-        # what keeps fused steady-state allocation-free.
-        buf = draws_xp.empty((recipe.vectors, n_terms), dtype=np.float64)  # alloc-ok: warm-up allocation; kept in the chunk-shared scratch and reused by later chunks and iterations
-        plan.scratch[draws_key] = buf
-    out = buf if buf.shape[1] == n_terms else buf[:, :n_terms]
     # Span attribution (repro.obs): selection is the one vectorised pass,
     # merge is the sequential segment walk — the interpreter analogue of the
     # paper's per-kernel Table IV split. One event per chunk, not per
@@ -444,10 +407,10 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
     trace = tracer is not None and tracer.enabled
     t_sel = tracer.now() if trace else 0.0
     draws = iteration_draws(uniforms, plan.plan, plan.need_calls,
-                            plan.n_streams, xp=draws_xp, out=out,
+                            plan.n_streams, out=plan.draws[:, :n_terms],
                             recipe=recipe)
     terms = sampler.select_chunk(uniforms, draws, plan.plan, plan.n_streams,
-                                 iteration, recipe, xp=xp, arrays=arrays)
+                                 iteration, recipe)
     if recipe.reuse > 1:
         terms = sampler.warp_shuffle(terms, plan.plan, recipe)
     if trace:

@@ -14,11 +14,9 @@ The paper identifies this randomness as both essential for quality
 accesses. All selection here is vectorised over a batch of steps, driven by
 any of the multi-stream PRNGs in :mod:`repro.prng`.
 
-Selection runs on the sampler backend's *host* namespace
-(``backend.host_xp``): the PRNG streams produce host arrays and the selected
-:class:`StepBatch` stays host-resident — device backends upload it inside
-the update kernels. The dispatch seam is here so a future device-resident
-sampler only has to override ``host_xp``.
+Selection runs on host NumPy, where the PRNG streams produce their draws;
+the selected :class:`StepBatch` is host-resident and the update kernels
+coerce it into their backend's namespace.
 A :class:`DrawRecipe` says what one plan segment draws and how its terms
 are selected; :meth:`PairSampler.select_chunk` selects a chunk at once.
 """
@@ -29,7 +27,6 @@ from typing import List, NamedTuple, Optional, Protocol
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
 from ..graph.lean import LeanGraph
 from ..graph.path_index import PathIndex
 from .params import LayoutParams
@@ -56,12 +53,11 @@ class _MultiStreamRNG(Protocol):
 
 
 class SelectionArrays(NamedTuple):
-    """The graph/index arrays term selection reads, in one memory space.
+    """The graph/index arrays term selection reads.
 
-    The host sampler builds one bundle over the lean graph's NumPy arrays;
-    device backends with a device-resident fused path convert the same bundle
-    once per run (``backend.asarray``) so per-iteration selection runs where
-    the coordinates live instead of round-tripping batches through the host.
+    The sampler builds one bundle over the lean graph's NumPy arrays; the
+    shared-memory workers rebuild it over views into their shared segment
+    (:meth:`PairSampler.from_arrays`).
     """
 
     cum_steps: np.ndarray
@@ -198,51 +194,46 @@ STOCK_RECIPE = DrawRecipe()
 
 
 def zipf_hop_distances(
-    uniform: np.ndarray, theta: float, space_max: int, xp=np
+    uniform: np.ndarray, theta: float, space_max: int
 ) -> np.ndarray:
     """Map uniform draws to Zipf(θ)-distributed hop distances in [1, space_max].
 
     Uses the standard inverse-CDF approximation for the (truncated) Zipf
     distribution ("rejection-inversion" simplified to its inversion step),
     which is what odgi-layout's ``dirty_zipfian_int_distribution`` computes.
-    For θ→1 the distribution approaches ``P(k) ∝ 1/k``. ``xp`` is the array
-    namespace to compute in (the sampler passes its backend's host namespace).
+    For θ→1 the distribution approaches ``P(k) ∝ 1/k``.
     """
     if space_max < 1:
         raise ValueError("space_max must be >= 1")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    u = xp.clip(xp.asarray(uniform, dtype=np.float64), 0.0, 1.0 - 1e-12)
+    u = np.clip(np.asarray(uniform, dtype=np.float64), 0.0, 1.0 - 1e-12)
     if space_max == 1:
-        return xp.ones_like(u, dtype=np.int64)
+        return np.ones_like(u, dtype=np.int64)
     one_minus_theta = 1.0 - theta
     if abs(one_minus_theta) < 1e-9:
         # θ == 1: CDF(k) ∝ log(k), invert directly.
-        k = xp.exp(u * xp.log(space_max + 1.0))
+        k = np.exp(u * np.log(space_max + 1.0))
     else:
         h_max = ((space_max + 1.0) ** one_minus_theta - 1.0) / one_minus_theta
         h = u * h_max
         k = (h * one_minus_theta + 1.0) ** (1.0 / one_minus_theta)
-    return xp.clip(xp.floor(k).astype(np.int64), 1, space_max)
+    return np.clip(np.floor(k).astype(np.int64), 1, space_max)
 
 
 class PairSampler:
     """Vectorised sampler of update terms over a lean graph."""
 
     def __init__(self, graph: LeanGraph, params: LayoutParams,
-                 index: Optional[PathIndex] = None,
-                 backend: Optional[ArrayBackend] = None):
+                 index: Optional[PathIndex] = None):
         self.graph = graph
         self.params = params
-        self.backend = backend if backend is not None else get_backend(params.backend)
-        self._xp = self.backend.host_xp
         self.index = index if index is not None else PathIndex(graph)
         if graph.total_steps == 0:
             raise ValueError("cannot sample node pairs from a graph without path steps")
         self._offsets = graph.path_offsets
         self._counts = graph.path_step_counts
-        # Host-side bundle of everything selection reads; the fused iteration
-        # path hands (a device copy of) this to select_from_uniforms.
+        # Everything selection reads, in one bundle.
         self.arrays = SelectionArrays(
             cum_steps=self.index.cum_steps,
             path_offsets=graph.path_offsets,
@@ -252,8 +243,8 @@ class PairSampler:
         )
 
     @classmethod
-    def from_arrays(cls, arrays: SelectionArrays, params: LayoutParams,
-                    backend: Optional[ArrayBackend] = None) -> "PairSampler":
+    def from_arrays(cls, arrays: SelectionArrays,
+                    params: LayoutParams) -> "PairSampler":
         """Sampler over a bare :class:`SelectionArrays` bundle — no graph.
 
         The shared-memory workers (:mod:`repro.parallel.shm`) receive the
@@ -269,8 +260,6 @@ class PairSampler:
         self.graph = None
         self.index = None
         self.params = params
-        self.backend = backend if backend is not None else get_backend(params.backend)
-        self._xp = self.backend.host_xp
         self._offsets = arrays.path_offsets
         self._counts = arrays.path_counts
         self.arrays = arrays
@@ -318,8 +307,6 @@ class PairSampler:
         forced_cooling: Optional[bool] = None,
         cooling_mask: Optional[np.ndarray] = None,
         path_override: Optional[np.ndarray] = None,
-        xp=None,
-        arrays: Optional[SelectionArrays] = None,
     ) -> StepBatch:
         """Term selection over a pre-drawn ``(8, batch_size)`` uniform block.
 
@@ -328,59 +315,53 @@ class PairSampler:
         drawn here. :meth:`select_chunk` calls it once over a whole chunk's
         re-laid megablock; every operation is elementwise, so the selected
         terms are byte-identical to one call per segment.
-
-        ``xp``/``arrays`` default to the sampler's host namespace and host
-        :class:`SelectionArrays`; a device backend passes its own namespace
-        plus a device-resident copy of the bundle to keep selection (and the
-        resulting :class:`StepBatch`) off the host entirely.
         """
-        xp = self._xp if xp is None else xp
-        arrays = self.arrays if arrays is None else arrays
+        arrays = self.arrays
         # Line 5: path selection proportional to step count — inverse CDF
         # over the cumulative step counts (PathIndex.sample_paths verbatim).
         if path_override is not None:
-            paths = xp.asarray(path_override, dtype=np.int64)
+            paths = np.asarray(path_override, dtype=np.int64)
             if paths.size != batch_size:
                 raise ValueError("path_override must have one entry per term")
         else:
             total = arrays.cum_steps[-1]
-            targets = xp.minimum((draws[0] * total).astype(np.int64), total - 1)
-            paths = xp.searchsorted(arrays.cum_steps, targets, side="right") - 1
+            targets = np.minimum((draws[0] * total).astype(np.int64), total - 1)
+            paths = np.searchsorted(arrays.cum_steps, targets, side="right") - 1
         starts = arrays.path_offsets[paths]
         counts = arrays.path_counts[paths]
         # Line 6: cooling decision = (iter >= iter_max/2) or coin flip.
         if cooling_mask is not None:
-            cooling = xp.asarray(cooling_mask, dtype=bool)
+            cooling = np.asarray(cooling_mask, dtype=bool)
             if cooling.size != batch_size:
                 raise ValueError("cooling_mask must have one entry per term")
         elif forced_cooling is None:
             always = iteration >= self.params.first_cooling_iteration()
-            cooling = xp.full(batch_size, always, dtype=bool) | (draws[1] < 0.5)
+            cooling = np.full(batch_size, always, dtype=bool) | (draws[1] < 0.5)
         else:
-            cooling = xp.full(batch_size, bool(forced_cooling))
+            cooling = np.full(batch_size, bool(forced_cooling))
         # First step of the pair: uniform within the path.
-        local_i = xp.minimum((draws[2] * counts).astype(np.int64), counts - 1)
+        local_i = np.minimum((draws[2] * counts).astype(np.int64), counts - 1)
         # Second step: uniform (exploration) or Zipf hop (cooling).
-        local_j_uniform = xp.minimum((draws[3] * counts).astype(np.int64), counts - 1)
+        local_j_uniform = np.minimum((draws[3] * counts).astype(np.int64), counts - 1)
         hops = zipf_hop_distances(draws[4], self.params.zipf_theta,
-                                  self.params.zipf_space_max, xp=xp)
-        hops = xp.minimum(hops, xp.maximum(counts - 1, 1))
-        direction = xp.where(draws[5] < 0.5, -1, 1)
+                                  self.params.zipf_space_max)
+        hops = np.minimum(hops, np.maximum(counts - 1, 1))
+        direction = np.where(draws[5] < 0.5, -1, 1)
         local_j_zipf = local_i + direction * hops
         # Reflect out-of-range hops back into the path.
-        local_j_zipf = xp.where(local_j_zipf < 0, local_i + hops, local_j_zipf)
-        local_j_zipf = xp.where(local_j_zipf >= counts, local_i - hops, local_j_zipf)
-        local_j_zipf = xp.clip(local_j_zipf, 0, xp.maximum(counts - 1, 0))
-        local_j = xp.where(cooling, local_j_zipf, local_j_uniform)
+        local_j_zipf = np.where(local_j_zipf < 0, local_i + hops, local_j_zipf)
+        local_j_zipf = np.where(local_j_zipf >= counts, local_i - hops, local_j_zipf)
+        local_j_zipf = np.clip(local_j_zipf, 0, np.maximum(counts - 1, 0))
+        local_j = np.where(cooling, local_j_zipf, local_j_uniform)
         # Avoid degenerate i == j pairs where the path has room.
         same = (local_j == local_i) & (counts > 1)
-        local_j = xp.where(same, (local_i + 1) % counts, local_j)
+        local_j = np.where(same, (local_i + 1) % counts, local_j)
 
         flat_i = starts + local_i
         flat_j = starts + local_j
         node_i = arrays.step_nodes[flat_i]
         node_j = arrays.step_nodes[flat_j]
-        d_ref = xp.abs(
+        d_ref = np.abs(
             arrays.step_positions[flat_i] - arrays.step_positions[flat_j]
         ).astype(np.float64)
         # Lines 12-13: endpoint coin flips (vectors 6-7 of the bulk draw).
@@ -399,22 +380,19 @@ class PairSampler:
         )
 
     def select_chunk(self, uniforms: np.ndarray, draws, plan: List[int],
-                     n_streams: int, iteration: int, recipe: DrawRecipe,
-                     xp=None, arrays: Optional[SelectionArrays] = None
+                     n_streams: int, iteration: int, recipe: DrawRecipe
                      ) -> StepBatch:
         """Select a chunk's terms in one call, before data reuse.
 
         ``uniforms`` is the chunk's ``(calls, n_streams)`` megablock laid out
         by ``recipe``, ``draws`` its per-term vectors re-laid side by side
-        (:func:`repro.core.fused.iteration_draws`). ``xp``/``arrays`` select
-        on a device (stock recipe only).
+        (:func:`repro.core.fused.iteration_draws`).
         """
         n_terms = draws.shape[1]
         if recipe.hop:
             return self.select_fixed_hop(draws, n_terms, recipe.hop)
         if not recipe.warp:
-            return self.select_from_uniforms(draws, n_terms, iteration,
-                                             xp=xp, arrays=arrays)
+            return self.select_from_uniforms(draws, n_terms, iteration)
         cooling, paths = self._warp_lanes(uniforms, plan, n_streams,
                                           iteration, recipe)
         return self.select_from_uniforms(draws, n_terms, iteration,
@@ -495,15 +473,14 @@ class PairSampler:
     def select_fixed_hop(self, draws: np.ndarray, batch_size: int,
                          hop: int) -> StepBatch:
         """Fixed-hop selection over a pre-drawn ``(4, batch_size)`` block."""
-        xp = self._xp
         paths = self.index.sample_paths(draws[0])
         starts = self._offsets[paths]
         counts = self._counts[paths]
-        local_i = xp.minimum((draws[1] * counts).astype(np.int64), counts - 1)
-        local_j = xp.clip(local_i + hop, 0, xp.maximum(counts - 1, 0))
+        local_i = np.minimum((draws[1] * counts).astype(np.int64), counts - 1)
+        local_j = np.clip(local_i + hop, 0, np.maximum(counts - 1, 0))
         flat_i = starts + local_i
         flat_j = starts + local_j
-        d_ref = xp.abs(
+        d_ref = np.abs(
             self.graph.step_positions[flat_i] - self.graph.step_positions[flat_j]
         ).astype(np.float64)
         vis = draws[2:]

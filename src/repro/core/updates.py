@@ -105,8 +105,6 @@ class UpdateStats:
     n_terms: int
     n_zero_ref: int
     n_point_collisions: int
-    mean_step_magnitude: float
-    max_step_magnitude: float
 
 
 class UpdateWorkspace:
@@ -393,20 +391,15 @@ def apply_batch(
     if merge not in ("hogwild", "accumulate", "last_writer"):
         raise ValueError("merge must be 'hogwild', 'accumulate' or 'last_writer'")
     if len(batch) == 0:
-        return UpdateStats(0, 0, 0, 0.0, 0.0)
+        return UpdateStats(0, 0, 0)
     be = _resolve_backend(workspace, backend)
     n = len(batch)
     ws = workspace if workspace is not None else UpdateWorkspace(n, backend=be)
-    delta, n_collisions = merge_batch(coords, batch, eta, merge, ws)
-
-    mags = be.rowwise_sqnorm(delta, out=ws.mag[:n])
-    be.xp.sqrt(mags, out=mags)
+    _, n_collisions = merge_batch(coords, batch, eta, merge, ws)
     return UpdateStats(
         n_terms=n,
         n_zero_ref=int((batch.d_ref <= 0).sum()),
         n_point_collisions=n_collisions,
-        mean_step_magnitude=float(mags.mean()) if mags.size else 0.0,
-        max_step_magnitude=float(mags.max()) if mags.size else 0.0,
     )
 
 

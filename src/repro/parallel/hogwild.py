@@ -68,7 +68,7 @@ def measure_collisions(
     """Empirically measure endpoint collisions among ``concurrency`` in-flight terms."""
     params = params or LayoutParams()
     be = backend if backend is not None else get_backend(params.backend)
-    sampler = PairSampler(graph, params, backend=be)
+    sampler = PairSampler(graph, params)
     rng = Xoshiro256Plus(seed, n_streams=min(concurrency, 1024))
     fractions = []
     for b in range(n_batches):

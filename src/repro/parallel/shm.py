@@ -309,7 +309,7 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
         coords = block.view("coords")
         arrays = SelectionArrays(
             *(block.view(f"sel/{field}") for field in SelectionArrays._fields))
-        sampler = PairSampler.from_arrays(arrays, params, backend)
+        sampler = PairSampler.from_arrays(arrays, params)
         # Tracing: the worker's spans land lock-free in its own ring inside
         # the shared segment (repro.obs.ring); the parent decodes after
         # join and merges all streams into one ordered trace file. No pipe
@@ -423,12 +423,15 @@ class ShmHogwildEngine(CpuBaselineEngine):
             # plan so a correctly behaving run never drops an event (a ring
             # holds every span the worker emits: 2 per chunk from the fused
             # host path + the draw/dispatch/iteration trio per iteration).
-            # A degraded survivor emits more than its ring was sized for;
-            # overflow is dropped and reported, never blocking.
+            # The chunks are priced as the worker's build_iteration_plans
+            # prices them, on its own streams. A degraded survivor emits
+            # more than its ring was sized for; overflow is dropped and
+            # reported, never blocking.
             share = budget_share(self.params.memory_budget,
                                  self.params.workers)
             for w, sub_plan in enumerate(sub_plans):
-                n_chunks = max(1, len(chunk_spans(sub_plan, share)))
+                n_chunks = max(1, len(chunk_spans(
+                    sub_plan, share, n_streams=states[w].shape[0])))
                 capacity = ring_capacity(max(1, self.params.iter_max),
                                          n_chunks)
                 payload.update(ring_payload(w, capacity))

@@ -60,7 +60,7 @@ class TestResolution:
         assert get_backend().name == "numpy"
 
     def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
+        monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
         assert resolve_backend_name("numpy") == "numpy"
         assert get_backend("numpy").name == "numpy"
 
@@ -80,7 +80,6 @@ class TestResolution:
         engine = CpuBaselineEngine(small_synthetic,
                                    fast_params.with_(backend="numpy"))
         assert engine.backend.name == "numpy"
-        assert engine.sampler.backend is engine.backend
 
     def test_engine_rejects_unavailable_backend(self, small_synthetic, fast_params):
         with pytest.raises(BackendUnavailable):
@@ -98,16 +97,6 @@ class TestRegistry:
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
         assert backend_names()[0] == "numpy"
-
-    def test_optional_backends_registered(self):
-        # numba/cupy are always *registered*; availability depends on the
-        # environment, and unavailability must come with a recorded reason.
-        names = backend_names()
-        assert "numba" in names and "cupy" in names
-        failures = backend_failures()
-        for name in ("numba", "cupy"):
-            if name not in available_backends():
-                assert name in failures and failures[name]
 
     def test_get_backend_caches_instance(self):
         assert get_backend("numpy") is get_backend("numpy")

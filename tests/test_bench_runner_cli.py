@@ -189,6 +189,13 @@ class TestBenchCli:
             main(["layout", "--dataset", "HLA-DRB1",
                   "--merge-policy", "banana"])
 
+    def test_layout_rejects_retired_backend(self, capsys):
+        """A backend name the registry no longer holds is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["layout", "--dataset", "HLA-DRB1", "--backend", "numba"])
+        assert exc.value.code == 2
+        assert "--backend: invalid choice" in capsys.readouterr().err
+
     def test_layout_fused_flags_parse_and_run(self, tmp_path, capsys):
         """--fused / --no-fused still parse, warn, and change no layout."""
         from repro.cli import build_parser

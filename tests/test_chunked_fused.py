@@ -6,8 +6,8 @@ and — because chunk boundaries are segment boundaries and the bulk PRNG draw
 is interchangeable mid-stream — a budgeted run is *byte-identical* to an
 unbudgeted one on the NumPy backend, for every budget. Alongside: the
 ``parse_memory_budget`` grammar, the params-level ``workers × levels``
-validation, the chunk-shared scratch (cached state must total one chunk, not
-the iteration), ``budget_share`` for the process-parallel engine, the peak
+validation, the chunk-shared draws buffer (one chunk wide, not one
+iteration wide), ``budget_share`` for the process-parallel engine, the peak
 accounting layer (``repro.memtrack`` + ``LayoutResult.summary``), and the
 CLI ``--memory-budget`` flag end to end.
 """
@@ -24,7 +24,7 @@ from repro.core.fused import (
     chunk_spans,
 )
 from repro.core.params import parse_memory_budget
-from repro.core.selection import SAMPLE_VECTORS
+from repro.core.selection import SAMPLE_VECTORS, DrawRecipe
 from repro.memtrack import PeakTracker, max_rss_bytes
 from repro.parallel.shm import budget_share, run_workers_inline
 from repro.synth import PangenomeConfig, simulate_pangenome
@@ -153,9 +153,36 @@ class TestChunkSpans:
         spans = chunk_spans(plan, memory_budget=12 * FUSED_BYTES_PER_TERM)
         assert spans == [(0, 3)]
 
+    def test_segments_priced_by_their_megablock_rows(self):
+        """A 544-term GPU-model wave on 4,096 streams draws 9 full rows:
+        its megablock, not its term count, dominates its cost."""
+        recipe = DrawRecipe(warp=32)
+        megablock = 8 * 4096 * recipe.segment_calls(544, 4096)
+        seg_cost = megablock + (FUSED_BYTES_PER_TERM - 8 * SAMPLE_VECTORS) * 544
+        assert megablock == 8 * 4096 * 9
+        spans = chunk_spans([544] * 4, memory_budget=2 * seg_cost,
+                            n_streams=4096, recipe=recipe)
+        assert spans == [(0, 2), (2, 4)]
+        # Priced per term, the same budget would have held all four waves.
+        assert 4 * 544 * FUSED_BYTES_PER_TERM <= 2 * seg_cost
+
+    def test_one_stream_stock_cost_is_bytes_per_term(self):
+        plan = [7, 7, 7, 7, 3]
+        budget = 14 * FUSED_BYTES_PER_TERM
+        assert (chunk_spans(plan, budget, n_streams=1)
+                == chunk_spans(plan, budget) == [(0, 2), (2, 4), (4, 5)])
+
+    def test_reuse_prices_the_expanded_terms(self):
+        rest = FUSED_BYTES_PER_TERM - 8 * SAMPLE_VECTORS
+        recipe = DrawRecipe(warp=4, warp_paths=True, reuse=2)
+        seg_cost = 8 * recipe.segment_calls(8, 1) + 2 * rest * 8
+        spans = chunk_spans([8, 8, 8], memory_budget=2 * seg_cost,
+                            recipe=recipe)
+        assert spans == [(0, 2), (2, 3)]
+
 
 # --------------------------------------------------------------------------
-# build_iteration_plans: chunk plans + shared scratch
+# build_iteration_plans: chunk plans + shared draws buffer
 # --------------------------------------------------------------------------
 class TestBuildIterationPlans:
     def _plans(self, graph, budget):
@@ -183,12 +210,12 @@ class TestBuildIterationPlans:
     def test_chunks_share_scratch_but_own_caches(self, small_graph):
         _, chunks = self._plans(small_graph, 1)
         assert len(chunks) > 1
-        scratches = {id(c.scratch) for c in chunks}
-        caches = {id(c.cache) for c in chunks}
-        assert len(scratches) == 1  # chunk-invariant state lives once per run
-        assert len(caches) == len(chunks)  # chunk-shaped state stays private
-        workspaces = {id(c.workspace) for c in chunks}
-        assert len(workspaces) == 1
+        # Chunk-invariant state lives once per run: one draws buffer, one
+        # workspace.
+        assert len({id(c.draws) for c in chunks}) == 1
+        assert len({id(c.workspace) for c in chunks}) == 1
+        # Chunk-shaped bookkeeping stays private to each plan.
+        assert len({id(c.need_calls) for c in chunks}) == len(chunks)
 
     def test_draws_scratch_totals_one_chunk_not_iteration(self, small_graph):
         """The hoisted draws buffer must not re-materialise the iteration."""
@@ -206,14 +233,15 @@ class TestBuildIterationPlans:
         assert len(chunks) > 1
         backend = get_backend("numpy")
         coords = np.zeros((small_graph.n_nodes * 2, 2), dtype=np.float64)
+        draws = chunks[0].draws
+        widest = max(sum(c.plan) for c in chunks)
+        assert draws.shape == (SAMPLE_VECTORS, widest)
+        assert widest < sum(plan)
         for chunk in chunks:
             block = rng.next_double_block(chunk.calls_per_iteration)
             run_iteration_host(backend, chunk, coords, block, 0.05, 0)
-        scratch = chunks[0].scratch
-        widest = max(sum(c.plan) for c in chunks)
-        assert scratch["draws/host"].shape == (SAMPLE_VECTORS, widest)
-        # No chunk hoarded a private copy of the draws block.
-        assert all("draws/host" not in c.cache for c in chunks)
+            # No chunk swapped in a private copy of the draws block.
+            assert chunk.draws is draws
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +281,42 @@ class TestBudgetByteIdentity:
                 == chunks * result.iterations)
 
 
+@pytest.fixture(scope="module")
+def fig17_gpu_run():
+    """The GPU model on the Fig. 17 Chr.1-like graph (2,303 nodes) with
+    ``quality_bench_params``: 544-term waves on 4,096 streams, whose
+    megablock rows cost ~540 B per term. Two iterations cover both
+    selection phases; every iteration has the same transient footprint.
+    Returns the graph, the params and the unbudgeted run."""
+    from repro.bench.context import BenchContext
+    from repro.core import OptimizedGpuEngine
+
+    ctx = BenchContext()
+    params = ctx.quality_bench_params.with_(iter_max=2)
+    return ctx.chr1_graph, params, OptimizedGpuEngine(ctx.chr1_graph,
+                                                      params).run()
+
+
+class TestGpuModelBudget:
+    @pytest.mark.parametrize("budget", ["64MB", "16MB"])
+    def test_wide_stream_waves_split_and_stay_within_budget(
+            self, fig17_gpu_run, budget):
+        """Budgeted runs split into chunks, their traced peak stays within
+        the budget (one chunk's megablock in flight at a time), and their
+        layout is the unbudgeted run's."""
+        from repro.core import OptimizedGpuEngine
+
+        graph, params, reference = fig17_gpu_run
+        with PeakTracker(trace=True) as mem:
+            budgeted = OptimizedGpuEngine(
+                graph, params.with_(memory_budget=budget)).run()
+        assert budgeted.counters["fused_chunks"] > 1
+        assert mem.traced_peak_bytes <= parse_memory_budget(budget)
+        assert (budgeted.layout.coords.tobytes()
+                == reference.layout.coords.tobytes())
+        assert budgeted.total_terms == reference.total_terms
+
+
 # --------------------------------------------------------------------------
 # worker decomposition: budget_share + inline engine
 # --------------------------------------------------------------------------
@@ -275,6 +339,46 @@ class TestWorkerBudget:
             small_graph, params.with_(memory_budget="4KB"))
         np.testing.assert_array_equal(budgeted.layout.coords,
                                       reference.layout.coords)
+
+    def test_trace_rings_sized_from_the_workers_chunks(self, small_graph,
+                                                      tmp_path):
+        """The parent sizes each worker's trace ring from the chunks the
+        worker builds: same pricing, on the worker's own streams. 64-term
+        segments on 64 streams plus a short remainder, whose full megablock
+        row costs more than its terms would at 384 B each."""
+        from repro.core import UpdateWorkspace, initialize_layout
+        from repro.obs.ring import ring_capacity, ring_keys
+        from repro.parallel.shm import ShmHogwildEngine
+
+        params = _params(workers=2, simulated_threads=1,
+                         trace=str(tmp_path / "trace.jsonl"))
+        engine = ShmHogwildEngine(small_graph, params)
+        sub_plans, _ = engine._worker_plans()
+        last = sub_plans[-1]
+        assert last[-1] < 64  # the remainder ends the last worker's plan
+        # A share that holds the last worker's plan when priced per term,
+        # but not with the remainder's full megablock row.
+        share = sum(last) * FUSED_BYTES_PER_TERM
+        params = params.with_(memory_budget=share * params.workers)
+        engine = ShmHogwildEngine(small_graph, params)
+        sub_plans, states, block = engine._worker_setup(
+            initialize_layout(small_graph, seed=1))
+        try:
+            n_chunks = []
+            for w, (sub_plan, state) in enumerate(zip(sub_plans, states)):
+                chunks = build_iteration_plans(
+                    sampler=engine.sampler,
+                    workspace=UpdateWorkspace(max(sub_plan)), merge="hogwild",
+                    plan=sub_plan, n_streams=state.shape[0],
+                    memory_budget=budget_share(params.memory_budget,
+                                               params.workers))
+                n_chunks.append(len(chunks))
+                assert block.view(ring_keys(w)[0]).shape[0] == ring_capacity(
+                    params.iter_max, len(chunks))
+            assert n_chunks[-1] > len(chunk_spans(last, share))
+        finally:
+            block.close()
+            block.unlink()
 
     def test_inline_workers_budget_raises_chunk_count(self, small_graph):
         params = _params(workers=2)

@@ -22,8 +22,8 @@ reference and the per-batch loop it replaced
 (``tests/per_batch_reference.py``) — byte-identical on NumPy, ≤1e-9
 elsewhere, with counters proving every engine really fused.
 
-Backends whose toolchain is absent (numba/cupy on a CPU-only CI box) skip
-cleanly with the registry's recorded reason. Registering a new backend makes
+A registered backend whose toolchain is absent skips cleanly with the
+registry's recorded reason. Registering a new backend makes
 it appear in these matrices with no test changes — passing this module is
 the acceptance bar for any future backend PR (see ROADMAP).
 """
