@@ -31,7 +31,6 @@ gates ``repro analyze src --strict``. New invariants land with a checker:
 register one via the :func:`checker` decorator (the same registry pattern
 as :mod:`repro.bench`).
 """
-from .baseline import DEFAULT_BASELINE_PATH, Baseline, BaselineEntry
 from .engine import AnalysisReport, run_analysis
 from .pragmas import Pragma, scan_pragmas
 from .registry import (REGISTRY, AnalysisError, Checker, CheckerRegistry,
@@ -41,11 +40,8 @@ from .source import SourceFile, collect_python_files, load_source_file
 __all__ = [
     "AnalysisError",
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "CheckerRegistry",
-    "DEFAULT_BASELINE_PATH",
     "Finding",
     "Pragma",
     "REGISTRY",

@@ -1,4 +1,4 @@
-"""The analysis engine: walk files, run checkers, apply pragmas + baseline.
+"""The analysis engine: walk files, run checkers, apply pragmas.
 
 One :func:`run_analysis` call produces an :class:`AnalysisReport`:
 
@@ -8,13 +8,12 @@ One :func:`run_analysis` call produces an :class:`AnalysisReport`:
    checkers run once over the whole set;
 3. per-line pragmas with valid (nonempty) reasons suppress matching
    findings; pragmas *without* a reason suppress nothing and are reported
-   as ``PRAGMA001`` errors — the reason is the documentation;
-4. the suppression baseline (grandfathered sites) removes known findings
-   and reports entries that no longer match as stale.
+   as ``PRAGMA001`` errors — the reason is the documentation.
 
-Exit semantics (mirrored by ``repro analyze``): ``error`` findings always
-fail; ``warning`` findings and stale baseline entries fail only under
-``--strict`` — which is how CI runs it.
+A pragma with a reason is the only way to suppress a finding. Exit
+semantics (mirrored by ``repro analyze``): ``error`` findings always fail;
+``warning`` findings fail only under ``--strict`` — which is how CI runs
+it.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .baseline import Baseline, BaselineEntry
 from .pragmas import Pragma, scan_pragmas
 from .registry import REGISTRY, CheckerRegistry, Finding, load_builtin_checkers
 from .source import SourceFile, collect_python_files, load_source_file
@@ -38,11 +36,8 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed_by_pragma: int = 0
-    suppressed_by_baseline: int = 0
-    stale_baseline_entries: List[BaselineEntry] = field(default_factory=list)
     files_analyzed: int = 0
     rules_run: List[str] = field(default_factory=list)
-    baseline_path: str = ""
 
     # ------------------------------------------------------------- verdicts
     def counts(self) -> Dict[str, int]:
@@ -55,7 +50,7 @@ class AnalysisReport:
         counts = self.counts()
         if counts.get("error", 0):
             return 1
-        if strict and (counts.get("warning", 0) or self.stale_baseline_entries):
+        if strict and counts.get("warning", 0):
             return 1
         return 0
 
@@ -66,21 +61,13 @@ class AnalysisReport:
             lines.append(f"{f.location()}: {f.rule} {f.severity}: {f.message}")
             if f.snippet:
                 lines.append(f"    {f.snippet}")
-        for entry in self.stale_baseline_entries:
-            lines.append(
-                f"{entry.path}: stale baseline entry for {entry.rule} "
-                f"({entry.snippet!r} matches nothing — prune it from "
-                f"{self.baseline_path or 'the baseline'})")
         counts = self.counts()
         verdict = "FAIL" if self.exit_code(strict) else "OK"
         lines.append(
             f"{verdict}: {len(self.findings)} finding(s) "
             f"({counts.get('error', 0)} error, {counts.get('warning', 0)} warning) "
             f"in {self.files_analyzed} file(s); "
-            f"{self.suppressed_by_pragma} suppressed by pragma, "
-            f"{self.suppressed_by_baseline} by baseline"
-            + (f", {len(self.stale_baseline_entries)} stale baseline entrie(s)"
-               if self.stale_baseline_entries else ""))
+            f"{self.suppressed_by_pragma} suppressed by pragma")
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
@@ -89,12 +76,7 @@ class AnalysisReport:
             "files_analyzed": self.files_analyzed,
             "rules": list(self.rules_run),
             "counts": self.counts(),
-            "suppressed": {
-                "pragma": self.suppressed_by_pragma,
-                "baseline": self.suppressed_by_baseline,
-            },
-            "stale_baseline_entries": [e.to_dict()
-                                       for e in self.stale_baseline_entries],
+            "suppressed": {"pragma": self.suppressed_by_pragma},
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -151,7 +133,6 @@ def _apply_pragmas(findings: List[Finding], registry: CheckerRegistry,
 
 def run_analysis(
     paths: List[str],
-    baseline: Optional[Baseline] = None,
     registry: Optional[CheckerRegistry] = None,
 ) -> AnalysisReport:
     """Analyse ``paths`` (files or directories) and return the report.
@@ -188,20 +169,10 @@ def run_analysis(
             findings.extend(chk.func(parsed))
 
     findings, n_pragma = _apply_pragmas(findings, registry, pragmas_by_file)
-
-    suppressed_by_baseline = 0
-    stale: List[BaselineEntry] = []
-    if baseline is not None:
-        findings, suppressed, stale = baseline.apply(findings)
-        suppressed_by_baseline = len(suppressed)
-
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return AnalysisReport(
         findings=findings,
         suppressed_by_pragma=n_pragma,
-        suppressed_by_baseline=suppressed_by_baseline,
-        stale_baseline_entries=stale,
         files_analyzed=len(files),
         rules_run=registry.rules(),
-        baseline_path=baseline.path if baseline is not None else "",
     )

@@ -4,10 +4,10 @@ A pragma is a trailing (or immediately preceding, standalone) comment of the
 form ``# <token>: <reason>`` — e.g. ``# det-ok: wall-clock timing is
 reported, never fed back into the layout``. The reason is *mandatory*: a
 bare ``# det-ok`` (or an empty reason) suppresses nothing and is itself
-reported as a ``PRAGMA001`` error, so every grandfathered site documents
-why it is exempt. Tokens are declared by the checkers
-(:attr:`~repro.analysis.registry.Checker.pragma`); unknown comment text is
-simply not a pragma.
+reported as a ``PRAGMA001`` error, so every suppressed site documents
+why it is exempt. A pragma is the only way to suppress a finding. Tokens
+are declared by the checkers (:attr:`~repro.analysis.registry.Checker
+.pragma`); unknown comment text is simply not a pragma.
 """
 from __future__ import annotations
 

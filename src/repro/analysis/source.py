@@ -46,7 +46,7 @@ class SourceFile:
         return any(part in HOT_PATH_DIRS for part in self.parts[:-1])
 
     def snippet(self, line: int) -> str:
-        """The stripped source line (baseline key; '' out of range)."""
+        """The stripped source line ('' out of range)."""
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
         return ""

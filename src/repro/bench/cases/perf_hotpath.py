@@ -82,8 +82,8 @@ def run_apply_batch(ctx) -> CaseResult:
     workspace = UpdateWorkspace(_BATCH, backend=backend)
 
     out = CaseResult(graph_properties=ctx.graph_properties(graph))
-    _, collisions = merge_batch(backend.from_host(coords.copy()), batch, 1.0,
-                                "hogwild", workspace)
+    collisions = merge_batch(backend.from_host(coords.copy()), batch, 1.0,
+                             "hogwild", workspace)
     out.add("point_collisions", collisions, direction="info")
     rows = []
     timings = {}

@@ -17,8 +17,7 @@ Subcommands:
   memory-ceiling (MEM001), backend-dispatch (XP001), shm-lifecycle
   (SHM001), clock-seam (OBS001), no-unbounded-blocking (ROBUST001) and
   native-library-loading (CEXT001) invariants over the given paths and
-  exits nonzero on violations
-  (``--strict`` also fails on warnings and stale baseline entries — the
+  exits nonzero on violations (``--strict`` also fails on warnings — the
   CI configuration).
 * ``repro trace`` — run-telemetry tooling over the JSONL traces that
   ``repro layout --trace out.jsonl`` (or ``LayoutParams(trace=...)``)
@@ -348,8 +347,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
 
 def build_analyze_parser() -> argparse.ArgumentParser:
     """Construct the ``repro analyze`` argument parser."""
-    from .analysis import DEFAULT_BASELINE_PATH
-
     parser = argparse.ArgumentParser(
         prog="repro analyze",
         description="AST-based contract linter: determinism (DET001/DET002), "
@@ -363,46 +360,19 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyze (default: src)")
     parser.add_argument("--strict", action="store_true",
-                        help="also fail on warnings and on stale baseline "
-                             "entries (the CI configuration)")
+                        help="also fail on warnings (the CI configuration)")
     parser.add_argument("--format", choices=["text", "json"], default="text",
                         help="report format (default: text)")
-    parser.add_argument("--baseline", default=None,
-                        help="suppression baseline JSON for grandfathered "
-                             f"sites (default: {DEFAULT_BASELINE_PATH} when "
-                             "it exists; pass an explicit path otherwise)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline, report every finding")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to the baseline "
-                             "path (grandfathering them) instead of failing")
     return parser
 
 
 def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro analyze`` entry point; returns the process exit code."""
-    import os
-
-    from .analysis import (DEFAULT_BASELINE_PATH, AnalysisError, Baseline,
-                           run_analysis)
+    from .analysis import AnalysisError, run_analysis
 
     args = build_analyze_parser().parse_args(argv)
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline \
-            and os.path.exists(DEFAULT_BASELINE_PATH):
-        baseline_path = DEFAULT_BASELINE_PATH
     try:
-        if args.write_baseline:
-            target = baseline_path or DEFAULT_BASELINE_PATH
-            report = run_analysis(args.paths)
-            Baseline.from_findings(report.findings).save(target)
-            print(f"wrote {len(report.findings)} finding(s) as "
-                  f"{target} baseline entries")
-            return 0
-        baseline = None
-        if baseline_path is not None and not args.no_baseline:
-            baseline = Baseline.load(baseline_path)
-        report = run_analysis(args.paths, baseline=baseline)
+        report = run_analysis(args.paths)
         if args.format == "json":
             print(report.format_json())
         else:

@@ -142,10 +142,9 @@ class Session:
     step: Callable[[float, int, float], StepStats]
     #: Worker count the trace file reports.
     workers: int
-    #: Per-worker trace streams decoded at tear-down, merged by start time
-    #: into the trace file, and the events their rings dropped.
+    #: Per-worker trace streams, filled from the workers' per-iteration
+    #: replies and merged by start time into the trace file.
     streams: List[List[TraceEvent]] = field(default_factory=list)
-    dropped: int = 0
 
 
 @dataclass
@@ -351,7 +350,7 @@ class LayoutEngine:
                 "backend": self.backend.name,
                 "iterations": params.iter_max,
                 "workers": session.workers,
-            }, dropped=session.dropped)
+            })
         return LayoutResult(
             layout=layout,
             params=params,

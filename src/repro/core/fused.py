@@ -422,10 +422,9 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
     offset = 0
     for segments, size in plan.blocks:
         end = offset + segments * size
-        _, collisions = merge_batch(coords, terms.slice(offset, end), eta,
+        n_collisions += merge_batch(coords, terms.slice(offset, end), eta,
                                     plan.merge, plan.workspace, segments)
         offset = end
-        n_collisions += collisions
         if plan.probe and stress is None:
             stress = batch_stress(coords, terms.slice(0, size),
                                   backend=backend)

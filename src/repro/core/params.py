@@ -191,10 +191,10 @@ class LayoutParams:
     the hot path pays one branch per guarded site. A path makes the run
     record phase-attributed spans (schedule/selection/dispatch/merge/
     transfer/...) and write them, schema-versioned, at the end of ``run()``;
-    shm workers emit to per-worker shared-memory ring buffers which the
-    parent merges into the one file. Tracing never touches coordinates or
-    PRNG draw order, so traced layouts are byte-identical to untraced
-    ones."""
+    shm workers send their spans with each iteration's reply, and the
+    parent merges the per-worker streams into the one file. Tracing never
+    touches coordinates or PRNG draw order, so traced layouts are
+    byte-identical to untraced ones."""
 
     def __post_init__(self) -> None:
         if self.iter_max < 1:

@@ -340,7 +340,7 @@ def merge_batch(
     merge: str,
     workspace: UpdateWorkspace,
     segments: int = 1,
-) -> Tuple[np.ndarray, int]:
+) -> int:
     """Displace and merge ``segments`` equal segments of ``batch`` into ``coords``.
 
     The one merge implementation: :func:`apply_batch` calls it with one
@@ -352,9 +352,7 @@ def merge_batch(
     ``merge_scatter`` writes them through the segment's precomputed
     compaction. No statistics are computed here.
 
-    Returns ``(delta, n_point_collisions)``: ``delta`` is the last
-    segment's per-term displacement view into the workspace (overwritten
-    by the next call), the collision count is summed over the block.
+    Returns the block's point-collision count.
     """
     be = workspace.backend
     xp = be.xp
@@ -369,7 +367,7 @@ def merge_batch(
         lo, hi = bounds[segment], bounds[segment + 1]
         be.merge_scatter(coords, block.touched[lo:hi], block.inverse[segment],
                          block.counts[lo:hi], all_deltas, merge)
-    return delta, block.n_collisions
+    return block.n_collisions
 
 
 def apply_batch(
@@ -395,7 +393,7 @@ def apply_batch(
     be = _resolve_backend(workspace, backend)
     n = len(batch)
     ws = workspace if workspace is not None else UpdateWorkspace(n, backend=be)
-    _, n_collisions = merge_batch(coords, batch, eta, merge, ws)
+    n_collisions = merge_batch(coords, batch, eta, merge, ws)
     return UpdateStats(
         n_terms=n,
         n_zero_ref=int((batch.d_ref <= 0).sum()),

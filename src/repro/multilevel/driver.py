@@ -239,7 +239,7 @@ class MultilevelDriver:
                           if (k, v) not in engine_labels}
                 if entry.kind == "counter":
                     self.metrics.counter(entry.name, **labels).add(entry.value)
-                elif entry.kind == "gauge":
+                else:
                     self.metrics.gauge(entry.name, **labels).record_max(
                         entry.value)
             current = result.layout

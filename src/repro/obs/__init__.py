@@ -6,12 +6,12 @@ The observability layer shared by every engine and worker:
   (enforced by the OBS001 contract checker);
 * :mod:`repro.obs.tracer` — phase-attributed span tracing with a
   near-zero-cost disabled path;
-* :mod:`repro.obs.metrics` — typed counters/gauges/timers behind
+* :mod:`repro.obs.metrics` — typed counters and gauges behind
   ``LayoutResult.summary()``;
 * :mod:`repro.obs.trace_file` — the versioned JSONL trace sink
-  (``LayoutParams(trace=...)`` / ``repro layout --trace``);
-* :mod:`repro.obs.ring` — per-worker shared-memory ring buffers the shm
-  parent merges into one ordered trace;
+  (``LayoutParams(trace=...)`` / ``repro layout --trace``) and the merge
+  of per-worker streams into one ordered trace (shm workers send their
+  spans with each iteration's reply);
 * :mod:`repro.obs.summarize` — ``repro trace summarize/compare`` rendering.
 
 Deliberately a leaf package: it imports nothing from ``repro.core`` (or

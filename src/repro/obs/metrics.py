@@ -1,4 +1,4 @@
-"""Typed metrics registry: counters, gauges and timers with labels.
+"""Typed metrics registry: counters and gauges with labels.
 
 Before PR 9 every engine grew ad-hoc ``Dict[str, float]`` counters with
 implicit per-key semantics (``add_counter`` accumulated, ``max_counter``
@@ -9,8 +9,8 @@ makes the model explicit:
   ``point_collisions``, ``fused_iterations``).
 * :class:`Gauge` — last-set or high-water values (``peak_rss_bytes``,
   ``fused_chunks``).
-* :class:`Timer` — accumulated seconds plus an observation count
-  (phase timings outside the tracer's span stream).
+
+Phase timings are trace spans (:mod:`repro.obs.tracer`), not metrics.
 
 Metrics are identified by ``(name, labels)``: a registry carries base
 labels (``engine``/``backend``), call sites add theirs
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["MetricsError", "Counter", "Gauge", "Timer", "MetricEntry",
+__all__ = ["MetricsError", "Counter", "Gauge", "MetricEntry",
            "MetricsSnapshot", "MetricsRegistry"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -75,42 +75,18 @@ class Gauge:
         self._is_set = True
 
 
-class Timer:
-    """Accumulated duration (seconds) plus observation count."""
-
-    kind = "timer"
-    __slots__ = ("total_s", "count")
-
-    def __init__(self) -> None:
-        self.total_s = 0.0
-        self.count = 0
-
-    def observe(self, seconds: float) -> None:
-        self.total_s += float(seconds)
-        self.count += 1
-
-    @property
-    def value(self) -> float:
-        return self.total_s
-
-
 @dataclass(frozen=True)
 class MetricEntry:
-    """One immutable snapshot row: name, kind, labels, value(, count)."""
+    """One immutable snapshot row: name, kind, labels, value."""
 
     name: str
     kind: str
     labels: LabelItems
     value: float
-    count: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"name": self.name, "kind": self.kind,
-                               "labels": dict(self.labels),
-                               "value": self.value}
-        if self.count is not None:
-            out["count"] = self.count
-        return out
+        return {"name": self.name, "kind": self.kind,
+                "labels": dict(self.labels), "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -176,9 +152,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(name, Gauge, labels)
 
-    def timer(self, name: str, **labels) -> Timer:
-        return self._get(name, Timer, labels)
-
     # --------------------------------------------------------------- views
     def value(self, name: str, **labels) -> float:
         """Current value of an existing metric (KeyError when absent)."""
@@ -196,8 +169,7 @@ class MetricsRegistry:
         for (name, labels), metric in self._metrics.items():
             entries.append(MetricEntry(
                 name=name, kind=metric.kind, labels=labels,
-                value=float(metric.value),
-                count=(metric.count if isinstance(metric, Timer) else None)))
+                value=float(metric.value)))
         return MetricsSnapshot(entries=tuple(entries))
 
     def counter_values(self) -> Dict[str, float]:

@@ -13,9 +13,12 @@ rejection of documents a build cannot read)::
 Versioning contract: ``schema_version`` is ``"<major>.<minor>"``. A reader
 accepts any minor of its own major (minor bumps only ever *add* record
 kinds or optional fields — unknown record kinds are skipped on read) and
-rejects any other major outright. The ``end`` record both marks a complete
-write (a truncated file fails loudly, like a half-written BENCH json would)
-and carries the ring-buffer drop count for multi-worker traces.
+rejects any other major outright. The ``end`` record marks a complete
+write (a truncated file fails loudly, like a half-written BENCH json
+would). Its ``dropped`` field is always written as 0: shm workers send
+their spans with each iteration's reply, so none are dropped. Older
+files, written while workers traced into fixed-size shared-memory rings,
+may carry a positive count; :func:`read_trace` still reads it.
 
 Timestamps are monotonic-clock seconds (:mod:`repro.obs.clock`) with an
 arbitrary per-boot epoch: durations and within-file orderings are
@@ -77,14 +80,11 @@ def parse_schema_version(version: Any) -> Tuple[int, int]:
 
 
 def write_trace(path: str, events: Sequence[TraceEvent],
-                meta: Optional[Mapping[str, Any]] = None,
-                dropped: int = 0) -> None:
+                meta: Optional[Mapping[str, Any]] = None) -> None:
     """Atomically write one trace file (tmp file + ``os.replace``)."""
-    if dropped < 0:
-        raise ValueError("dropped must be >= 0")
     header = {"record": "header", "schema_version": TRACE_SCHEMA_VERSION,
               "meta": dict(meta or {})}
-    footer = {"record": "end", "events": len(events), "dropped": int(dropped)}
+    footer = {"record": "end", "events": len(events), "dropped": 0}
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -173,9 +173,9 @@ def read_trace(path: str) -> TraceDoc:
 def merge_events(streams: Sequence[Sequence[TraceEvent]]) -> List[TraceEvent]:
     """Merge per-process event streams into one ordered trace.
 
-    Each stream is assumed internally ordered by emission (which ring
-    buffers and in-memory tracers guarantee by construction). The merge
-    sorts by start time with a **stable interleave**: events with equal
+    Each stream is assumed internally ordered by emission (which tracers
+    and the shm engine's per-worker streams guarantee by construction).
+    The merge sorts by start time with a **stable interleave**: events with equal
     ``t0`` keep stream order (lower stream index first) and, within one
     stream, emission order — so the merged trace is deterministic given the
     streams, and every stream's own ordering survives verbatim. Timestamps

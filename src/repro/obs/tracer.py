@@ -7,8 +7,8 @@ per iteration (aggregated over batches/chunks, so event volume is
 O(iterations), never O(terms)), and ``repro trace summarize`` renders the
 phase breakdown from the recorded events.
 
-Span taxonomy (the ``name`` field; see also :data:`PHASE_NAMES` in
-:mod:`repro.obs.ring`):
+Span taxonomy (the ``name`` field; any string is a valid name, in shm
+workers too, whose spans reach the parent as :class:`TraceEvent` objects):
 
 ``schedule``
     Per-run setup: plan/workspace/fused-plan construction, worker spawn.

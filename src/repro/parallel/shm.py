@@ -61,6 +61,16 @@ registry is a set, and only the parent ever unregisters it (via ``unlink``).
 Workers are long-lived — one process per worker for the whole run, fed one
 message per iteration over a pipe — so each worker's PRNG streams advance
 across iterations exactly like the flat engine's single generator does.
+
+Tracing
+-------
+Each worker answers every iteration with ``(terms, collisions, events)``.
+On a traced run ``events`` is the list of spans the worker recorded during
+that iteration; the parent gives them the engine's labels plus
+``worker=<id>``, appends them to that worker's stream and counts them in
+``trace_events{worker=<id>}``. Untraced replies carry an empty list. A
+worker that dies mid-iteration loses that iteration's spans; survivors,
+however much work they adopt, lose none.
 """
 from __future__ import annotations
 
@@ -74,7 +84,7 @@ import numpy as np
 
 from ..core.base import LayoutResult, Session, StepStats, Unit, step_units
 from ..core.cpu_baseline import CpuBaselineEngine
-from ..core.fused import build_iteration_plans, chunk_spans, slice_plan
+from ..core.fused import build_iteration_plans, slice_plan
 # initialize_layout is no longer called here (the driver in repro.core.base
 # initialises every layout), but perfbench/layers.py patches this name.
 from ..core.layout import Layout, initialize_layout  # noqa: F401
@@ -82,9 +92,7 @@ from ..core.params import LayoutParams
 from ..core.selection import PairSampler, SelectionArrays
 from ..core.updates import UpdateWorkspace
 from ..obs import clock as obs_clock
-from ..obs.ring import RingTracer, TraceRing, ring_capacity, ring_keys, \
-    ring_payload
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, Tracer
 from ..prng.splitmix import SplitMix64, derive_seed, expand_streams
 from ..prng.xoshiro import Xoshiro256Plus
 from .faults import FaultPlan, resolve_fault_plan
@@ -292,10 +300,13 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
     arrays are views into the shared segment; only params, the sub-plan and
     a ``(n_streams, 4)`` PRNG state ride along in the spawn args.
 
-    Besides ``iter`` and ``stop``, the loop accepts ``("extend", plan,
-    state)`` — a degraded sibling's re-sliced share, adopted as an extra
-    execution unit and acknowledged with ``("extended", id, n_chunks)``.
-    An injected :class:`~repro.parallel.faults.FaultPlan` fires at setup
+    Each ``iter`` message is answered with ``(terms, collisions, events)``:
+    ``events`` holds the spans the worker recorded during that iteration
+    (empty when the run is untraced). Besides ``iter`` and ``stop``, the
+    loop accepts ``("extend", plan, state)`` — a degraded sibling's
+    re-sliced share, adopted as an extra execution unit and acknowledged
+    with ``("extended", id, n_chunks)``. An injected
+    :class:`~repro.parallel.faults.FaultPlan` fires at setup
     (``iteration=-1``) and at the top of each iteration body.
     """
     from ..backend import get_backend
@@ -310,18 +321,10 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
         arrays = SelectionArrays(
             *(block.view(f"sel/{field}") for field in SelectionArrays._fields))
         sampler = PairSampler.from_arrays(arrays, params)
-        # Tracing: the worker's spans land lock-free in its own ring inside
-        # the shared segment (repro.obs.ring); the parent decodes after
-        # join and merges all streams into one ordered trace file. No pipe
-        # traffic, no per-event allocation in the iteration loop. A
-        # respawned worker reattaches the same ring and its sequence
-        # numbers continue from the shared control block.
-        if params.trace:
-            buf_key, ctl_key = ring_keys(worker_id)
-            tracer = RingTracer(TraceRing(block.view(buf_key),
-                                          block.view(ctl_key)))
-        else:
-            tracer = NULL_TRACER
+        # Tracing: the worker records into a plain, label-free list and
+        # ships each iteration's spans with that iteration's reply; the
+        # parent attaches the labels.
+        tracer = Tracer() if params.trace else NULL_TRACER
         trace = tracer.enabled
         # Each worker chunks its plans under its share of the run budget
         # (workers race concurrently, so shares must sum to the budget). The
@@ -350,7 +353,11 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
             if trace:
                 tracer.emit("iteration", t_iter, tracer.now() - t_iter,
                             iteration)
-            conn.send((stats.terms, stats.collisions))
+            # send() pickles the list before it returns, so emptying it
+            # afterwards cannot touch the reply.
+            conn.send((stats.terms, stats.collisions, tracer.events))
+            if trace:
+                tracer.events.clear()
     finally:
         conn.close()
         block.close()
@@ -365,9 +372,9 @@ class ShmHogwildEngine(CpuBaselineEngine):
     :meth:`session` replaces the flat set-up and step: per iteration the
     parent sends the scheduled learning rate to every worker, the workers
     race their fused sub-plans into the shared buffer, and the parent
-    collects the per-worker term/collision counts. Iteration boundaries are
-    synchronised (the eta schedule must advance globally); stores within an
-    iteration are not.
+    collects the per-worker term/collision counts and trace spans.
+    Iteration boundaries are synchronised (the eta schedule must advance
+    globally); stores within an iteration are not.
 
     All worker lifecycle — spawn, barriers, failure handling per
     ``params.on_worker_failure``, teardown escalation — is delegated to
@@ -418,23 +425,6 @@ class ShmHogwildEngine(CpuBaselineEngine):
         sub_plans, states = self._worker_plans()
         payload = {"coords": layout.coords}
         payload.update(_selection_arrays_payload(self.sampler.arrays))
-        if self.params.trace:
-            # One trace ring per worker, sized from the worker's own chunk
-            # plan so a correctly behaving run never drops an event (a ring
-            # holds every span the worker emits: 2 per chunk from the fused
-            # host path + the draw/dispatch/iteration trio per iteration).
-            # The chunks are priced as the worker's build_iteration_plans
-            # prices them, on its own streams. A degraded survivor emits
-            # more than its ring was sized for; overflow is dropped and
-            # reported, never blocking.
-            share = budget_share(self.params.memory_budget,
-                                 self.params.workers)
-            for w, sub_plan in enumerate(sub_plans):
-                n_chunks = max(1, len(chunk_spans(
-                    sub_plan, share, n_streams=states[w].shape[0])))
-                capacity = ring_capacity(max(1, self.params.iter_max),
-                                         n_chunks)
-                payload.update(ring_payload(w, capacity))
         block = SharedArrayBlock.create(payload)  # shm-ok: ownership transfers to session(), whose finally unlinks
         return sub_plans, states, block
 
@@ -493,11 +483,19 @@ class ShmHogwildEngine(CpuBaselineEngine):
                 tracer.emit("schedule", t_sched, tracer.now() - t_sched,
                             count=n_workers)
 
+            # Workers trace when the params name a trace file. Their spans
+            # join one stream per worker slot, labelled with the engine's
+            # labels plus the worker's id.
+            streams = [[] for _ in range(n_workers)] if params.trace else []
+            labels = [dict(tracer.labels, worker=str(w))
+                      for w in range(n_workers)]
+
             def step(eta: float, iteration: int, t_iter: float) -> StepStats:
                 supervisor.send_iter(iteration, eta)
                 n_terms = 0
                 n_collisions = 0
-                for w, (terms, collisions) in supervisor.collect(iteration):
+                for w, (terms, collisions, events) in supervisor.collect(
+                        iteration):
                     n_terms += terms
                     n_collisions += collisions
                     # Labelled per-worker metrics: the flat counter view
@@ -505,35 +503,29 @@ class ShmHogwildEngine(CpuBaselineEngine):
                     # the label-free totals the summary() contract pins.
                     self.metrics.counter("worker_terms",
                                          worker=str(w)).add(float(terms))
+                    if events:
+                        for event in events:
+                            event.labels = labels[w]
+                        streams[w].extend(events)
+                        self.metrics.counter(
+                            "trace_events", worker=str(w)).add(
+                                float(len(events)))
                 # Dispatches per iteration track the *live* decomposition —
                 # the figure shrinks and re-grows as degradation re-slices.
                 # The parent's iteration span covers the barrier-to-barrier
-                # wall time; per-worker spans live in the rings.
+                # wall time; the workers' own spans arrive with their replies.
                 return StepStats(n_terms, n_collisions,
                                  supervisor.total_chunks(),
                                  workers=supervisor.live_count())
 
-            session = Session(step, workers=n_workers)
-            yield session
+            yield Session(step, workers=n_workers, streams=streams)
             self.add_counter("parallel_iterate_s",
                              obs_clock.perf_counter() - t_ready)
             # Graceful stop inside the try: workers must have joined before
-            # the rings and the raced coordinates are read back (the
-            # finally's shutdown() is then an idempotent no-op).
+            # the raced coordinates are read back (the finally's shutdown()
+            # is then an idempotent no-op).
             supervisor.shutdown()
             layout.coords[...] = block.view("coords")
-            if params.trace:
-                # Decode the per-worker rings while the mapping is alive
-                # (workers have joined, so each ring's producer is done).
-                for w in range(n_workers):
-                    buf_key, ctl_key = ring_keys(w)
-                    ring = TraceRing(block.view(buf_key), block.view(ctl_key))
-                    session.streams.append(
-                        ring.events(labels=dict(tracer.labels,
-                                                worker=str(w))))
-                    session.dropped += ring.dropped
-                    self.metrics.counter("trace_events", worker=str(w)).add(
-                        float(ring.written))
         finally:
             # Idempotent: a no-op after the graceful path, the straggler
             # escalation (terminate -> kill, counted) after a raise.
@@ -592,7 +584,7 @@ class _InlineRun(ShmHogwildEngine):
         coords = self.backend.from_host(layout.coords)
         # Per-worker tracer views share the parent's event list but carry a
         # ``worker=N`` label — the inline analogue of the process path's
-        # per-worker rings, same labelled stream, no merge step needed.
+        # per-worker streams, with no merge step needed.
         wtracers = [tracer.bind(worker=str(w)) for w in range(len(sub_plans))]
         # Same decomposition the worker processes build: each worker's
         # sub-plan chunked under its share of the run's memory budget.

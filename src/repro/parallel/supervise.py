@@ -143,8 +143,8 @@ class BarrierTimeout(ParallelRuntimeError):
 class WorkerHandle:
     """Supervisor-side state for one worker slot.
 
-    ``worker_id`` is the stable slot index (rings, labels and respawns all
-    key on it); ``proc``/``conn`` are replaced on respawn. ``plans`` is
+    ``worker_id`` is the stable slot index (trace streams, labels and
+    respawns all key on it); ``proc``/``conn`` are replaced on respawn. ``plans`` is
     every sub-plan the slot is responsible for — its original slice plus
     any slices adopted from degraded siblings — which is what gets
     redistributed if this worker dies in turn.

@@ -1,9 +1,9 @@
 """Tests for the repro.analysis contract linter (PR 7).
 
 Each checker is driven over small known-good / known-bad fixture trees
-written to tmp_path; the suite also covers the pragma grammar, baseline
-add/expire lifecycle, JSON report schema, CLI exit codes, and an
-end-to-end clean run over the real ``src`` tree.
+written to tmp_path; the suite also covers the pragma grammar, the JSON
+report schema, CLI exit codes, and an end-to-end clean run over the real
+``src`` tree.
 """
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     CheckerRegistry,
     checker,
     run_analysis,
@@ -638,40 +636,6 @@ class TestParseErrors:
         assert [f.rule for f in found] == ["PARSE001"]
 
 
-class TestBaseline:
-    def test_baseline_suppresses_matching_finding(self, tmp_path):
-        write_tree(tmp_path, {"core/m.py": "import numpy as np\nrng = np.random.default_rng()\n"})
-        first = run_analysis([str(tmp_path)])
-        assert len(first.findings) == 1
-        baseline = Baseline.from_findings(first.findings)
-        second = run_analysis([str(tmp_path)], baseline=baseline)
-        assert second.findings == []
-        assert second.suppressed_by_baseline == 1
-        assert second.stale_baseline_entries == []
-
-    def test_stale_entry_expires(self, tmp_path):
-        write_tree(tmp_path, {"core/m.py": "x = 1\n"})
-        baseline = Baseline(entries=[BaselineEntry(
-            rule="DET001", path=str(tmp_path / "core" / "m.py"),
-            snippet="rng = np.random.default_rng()")])
-        report = run_analysis([str(tmp_path)], baseline=baseline)
-        assert len(report.stale_baseline_entries) == 1
-        assert report.exit_code(strict=True) == 1
-        assert report.exit_code(strict=False) == 0
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        baseline = Baseline(entries=[BaselineEntry(
-            rule="XP001", path="src/m.py", snippet="np.sqrt(x)")])
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert [e.key() for e in loaded.entries] == [e.key() for e in baseline.entries]
-
-    def test_committed_baseline_is_empty(self):
-        committed = Baseline.load(SRC_ROOT.parent / "tools" / "analysis_baseline.json")
-        assert committed.entries == []
-
-
 class TestExitCodesAndReport:
     def test_error_findings_exit_1_regardless_of_strict(self, tmp_path):
         write_tree(tmp_path, {"core/m.py": "import numpy as np\nrng = np.random.default_rng()\n"})
@@ -713,15 +677,6 @@ class TestCli:
     def test_analyze_missing_path_exits_2(self, tmp_path, capsys):
         assert analyze_main([str(tmp_path / "nope")]) == 2
 
-    def test_write_baseline_then_strict_clean(self, tmp_path, capsys):
-        write_tree(tmp_path, {"core/m.py": "import numpy as np\nrng = np.random.default_rng()\n"})
-        baseline_path = tmp_path / "baseline.json"
-        assert analyze_main([str(tmp_path), "--write-baseline",
-                             "--baseline", str(baseline_path)]) == 0
-        assert analyze_main([str(tmp_path), "--strict",
-                             "--baseline", str(baseline_path)]) == 0
-        capsys.readouterr()
-
     def test_json_format_output(self, tmp_path, capsys):
         write_tree(tmp_path, {"m.py": "x = 1\n"})
         assert analyze_main([str(tmp_path), "--format", "json"]) == 0
@@ -729,7 +684,7 @@ class TestCli:
         assert payload["findings"] == []
 
     def test_real_src_tree_is_clean_under_strict(self, capsys):
-        assert analyze_main([str(SRC_ROOT), "--strict", "--no-baseline"]) == 0
+        assert analyze_main([str(SRC_ROOT), "--strict"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
 

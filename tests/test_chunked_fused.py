@@ -340,46 +340,6 @@ class TestWorkerBudget:
         np.testing.assert_array_equal(budgeted.layout.coords,
                                       reference.layout.coords)
 
-    def test_trace_rings_sized_from_the_workers_chunks(self, small_graph,
-                                                      tmp_path):
-        """The parent sizes each worker's trace ring from the chunks the
-        worker builds: same pricing, on the worker's own streams. 64-term
-        segments on 64 streams plus a short remainder, whose full megablock
-        row costs more than its terms would at 384 B each."""
-        from repro.core import UpdateWorkspace, initialize_layout
-        from repro.obs.ring import ring_capacity, ring_keys
-        from repro.parallel.shm import ShmHogwildEngine
-
-        params = _params(workers=2, simulated_threads=1,
-                         trace=str(tmp_path / "trace.jsonl"))
-        engine = ShmHogwildEngine(small_graph, params)
-        sub_plans, _ = engine._worker_plans()
-        last = sub_plans[-1]
-        assert last[-1] < 64  # the remainder ends the last worker's plan
-        # A share that holds the last worker's plan when priced per term,
-        # but not with the remainder's full megablock row.
-        share = sum(last) * FUSED_BYTES_PER_TERM
-        params = params.with_(memory_budget=share * params.workers)
-        engine = ShmHogwildEngine(small_graph, params)
-        sub_plans, states, block = engine._worker_setup(
-            initialize_layout(small_graph, seed=1))
-        try:
-            n_chunks = []
-            for w, (sub_plan, state) in enumerate(zip(sub_plans, states)):
-                chunks = build_iteration_plans(
-                    sampler=engine.sampler,
-                    workspace=UpdateWorkspace(max(sub_plan)), merge="hogwild",
-                    plan=sub_plan, n_streams=state.shape[0],
-                    memory_budget=budget_share(params.memory_budget,
-                                               params.workers))
-                n_chunks.append(len(chunks))
-                assert block.view(ring_keys(w)[0]).shape[0] == ring_capacity(
-                    params.iter_max, len(chunks))
-            assert n_chunks[-1] > len(chunk_spans(last, share))
-        finally:
-            block.close()
-            block.unlink()
-
     def test_inline_workers_budget_raises_chunk_count(self, small_graph):
         params = _params(workers=2)
         reference = run_workers_inline(small_graph, params)

@@ -188,8 +188,7 @@ class TestRunIterationContract:
         for batch_size in plan:
             draws = PairSampler._uniforms(rng, batch_size, 8)
             batch = sampler.select_from_uniforms(draws, batch_size, iteration)
-            _, n_coll = merge_batch(coords, batch, eta, merge, ws)
-            collisions += n_coll
+            collisions += merge_batch(coords, batch, eta, merge, ws)
         return collisions
 
     @pytest.mark.parametrize("merge", MERGES)

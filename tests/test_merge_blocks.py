@@ -101,7 +101,7 @@ def _merge_blocks(coords, batch, plan, merge, eta):
     for segments, size in block_plan(plan):
         end = offset + segments * size
         total += merge_batch(coords, batch.slice(offset, end), eta, merge, ws,
-                             segments)[1]
+                             segments)
         offset = end
     return total
 

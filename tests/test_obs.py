@@ -2,10 +2,10 @@
 
 Covers the clock seam, the tracer/span primitives, the typed metrics
 registry, the versioned JSONL trace file (round-trip + rejection paths),
-the cross-worker merge ordering contract, the shared-memory ring buffers,
-and the end-to-end integration: engines emit structurally deterministic
-traces without moving a byte of the layout, ``layout_graph(trace=...)``
-writes schema-valid files for flat / shm / multilevel runs, and the
+the cross-worker merge ordering contract, and the end-to-end
+integration: engines emit structurally deterministic traces without
+moving a byte of the layout, ``layout_graph(trace=...)`` writes
+schema-valid files for flat / shm / multilevel runs, and the
 ``on_progress`` callback streams global iteration counts.
 """
 from __future__ import annotations
@@ -16,12 +16,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import CpuBaselineEngine, LayoutParams, layout_graph, make_engine
+from repro.core import CpuBaselineEngine, layout_graph, make_engine
 from repro.multilevel.driver import MultilevelDriver
 from repro.obs import clock
 from repro.obs.metrics import MetricsError, MetricsRegistry
-from repro.obs.ring import (PHASE_NAMES, RING_FIELDS, RingTracer, TraceRing,
-                            ring_capacity, ring_payload)
 from repro.obs.summarize import (phase_breakdown, render_compare,
                                  render_summary)
 from repro.obs.trace_file import (TRACE_SCHEMA_MAJOR, TRACE_SCHEMA_VERSION,
@@ -121,14 +119,6 @@ class TestMetricsRegistry:
         gauge.set(1.0)
         assert reg.value("peak") == 1.0
 
-    def test_timer_accumulates_with_count(self):
-        reg = MetricsRegistry()
-        reg.timer("merge_s").observe(0.25)
-        reg.timer("merge_s").observe(0.75)
-        snap = reg.snapshot()
-        (entry,) = snap.entries
-        assert (entry.kind, entry.value, entry.count) == ("timer", 1.0, 2)
-
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
@@ -163,14 +153,27 @@ class TestTraceFile:
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        write_trace(path, self._events(), meta={"engine": "t", "iterations": 3},
-                    dropped=2)
+        write_trace(path, self._events(), meta={"engine": "t", "iterations": 3})
         doc = read_trace(path)
         assert doc.schema_version == TRACE_SCHEMA_VERSION
         assert doc.meta == {"engine": "t", "iterations": 3}
-        assert doc.dropped == 2
+        assert doc.dropped == 0
         assert event_structure(doc.events) == event_structure(self._events())
         assert [e.t0 for e in doc.events] == [0.0, 1.0, 2.0]
+
+    def test_older_drop_counts_still_read(self, tmp_path):
+        # Files written while shm workers traced into fixed-size rings may
+        # carry a positive end.dropped; schema 1.0 still reads and shows it.
+        path = tmp_path / "rings.jsonl"
+        lines = [
+            {"record": "header", "schema_version": "1.0", "meta": {}},
+            {"record": "event", "name": "draw", "t0": 0.0, "dur": 1.0},
+            {"record": "end", "events": 1, "dropped": 24},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        doc = read_trace(str(path))
+        assert doc.dropped == 24
+        assert "1 event(s), 24 dropped" in render_summary(doc)
 
     def test_write_is_atomic(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -275,57 +278,6 @@ class TestMergeEvents:
         assert [e.labels["worker"] for e in merged_ba] == ["1", "0"]
 
 
-class TestTraceRing:
-    def test_push_then_decode_round_trips(self):
-        payload = ring_payload(0, capacity=8)
-        buf, ctl = payload["trace/0/buf"], payload["trace/0/ctl"]
-        assert buf.shape == (8, RING_FIELDS)
-        ring = TraceRing(buf, ctl)
-        ring.push("draw", 1.0, 0.25, iteration=2, count=5)
-        ring.push("merge", 2.0, 0.5, iteration=2, count=3)
-        assert ring.written == 2 and ring.dropped == 0
-        events = ring.events(labels={"worker": "0"})
-        assert [(e.name, e.t0, e.dur, e.iteration, e.count) for e in events] \
-            == [("draw", 1.0, 0.25, 2, 5), ("merge", 2.0, 0.5, 2, 3)]
-        assert all(e.labels == {"worker": "0"} for e in events)
-
-    def test_overflow_overwrites_oldest_and_counts(self):
-        payload = ring_payload(1, capacity=4)
-        ring = TraceRing(payload["trace/1/buf"], payload["trace/1/ctl"])
-        for i in range(6):
-            ring.push("iteration", float(i), 0.1, iteration=i)
-        assert ring.written == 6 and ring.dropped == 2
-        # Survivors are the newest four, decoded oldest-first.
-        assert [e.iteration for e in ring.events()] == [2, 3, 4, 5]
-
-    def test_unknown_phase_interns_as_other(self):
-        payload = ring_payload(0, capacity=2)
-        ring = TraceRing(payload["trace/0/buf"], payload["trace/0/ctl"])
-        ring.push("brand-new-phase", 0.0, 0.1)
-        assert ring.events()[0].name == "other"
-
-    def test_ring_capacity_covers_full_emission(self):
-        # 2 chunks: selection+merge per chunk + draw/dispatch/iteration trio.
-        capacity = ring_capacity(iter_max=10, n_chunks=2)
-        assert capacity == 10 * (2 * 2 + 3) + 8
-        with pytest.raises(ValueError):
-            ring_capacity(0, 1)
-
-    def test_ring_tracer_emits_into_the_ring_and_bind_is_identity(self):
-        payload = ring_payload(0, capacity=4)
-        ring = TraceRing(payload["trace/0/buf"], payload["trace/0/ctl"])
-        tracer = RingTracer(ring)
-        assert tracer.enabled and tracer.bind(worker="3") is tracer
-        tracer.emit("dispatch", 1.0, 0.5, iteration=0, count=2)
-        assert ring.events()[0].name == "dispatch"
-
-    def test_phase_names_table_is_append_only_prefix(self):
-        # Ids are positional; the engine span taxonomy must keep its slots.
-        assert PHASE_NAMES[:5] == ("iteration", "draw", "dispatch",
-                                   "selection", "merge")
-        assert PHASE_NAMES[-1] == "other"
-
-
 class TestEngineTracing:
     def test_traced_run_is_byte_identical_to_untraced(self, small_synthetic,
                                                       fast_params):
@@ -411,8 +363,8 @@ class TestLayoutTraceFiles:
                               trace=str(tmp_path / "t.jsonl"))
         assert np.array_equal(plain.layout.coords, traced.layout.coords)
 
-    def test_shm_run_merges_per_worker_ring_traces(self, medium_synthetic,
-                                                   fast_params, tmp_path):
+    def test_shm_run_merges_per_worker_traces(self, medium_synthetic,
+                                              fast_params, tmp_path):
         path = str(tmp_path / "shm.jsonl")
         result = layout_graph(medium_synthetic, params=fast_params,
                               workers=2, trace=path)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import CpuBaselineEngine, layout_graph
+from repro.obs.trace_file import read_trace
 from repro.parallel.faults import (
     CRASH_EXITCODE,
     FaultPlan,
@@ -208,6 +209,31 @@ class TestDegradePolicy:
         assert degraded.total_terms > healthy.total_terms // 2
         assert degraded.total_terms < healthy.total_terms
 
+    def test_degraded_trace_keeps_every_survivor_span(self, small_synthetic,
+                                                      fast_params, tmp_path):
+        # Survivors adopt the dead worker's chunks and so emit more spans
+        # per iteration than they started with. Each reply carries its
+        # iteration's spans, so none is dropped, and the dead worker keeps
+        # the iterations it finished.
+        path = tmp_path / "degraded.jsonl"
+        params = _chaos_params(fast_params, "degrade",
+                               iter_max=12).with_(trace=str(path))
+        result = _engine(small_synthetic, params,
+                         fault_plan=FaultPlan.of(
+                             FaultSpec("crash", 1, 1))).run()
+        assert result.summary()["degraded"] is True
+        doc = read_trace(str(path))
+        assert doc.dropped == 0
+
+        def iterations(worker):
+            return [e.iteration for e in doc.events
+                    if e.name == "iteration"
+                    and e.labels.get("worker") == worker]
+
+        assert iterations("0") == list(range(12))
+        assert iterations("2") == list(range(12))
+        assert iterations("1") == [0]
+
 
 class TestRestartPolicy:
     def test_crash_respawns_and_completes(self, small_synthetic, fast_params):
@@ -293,7 +319,7 @@ class TestMidIterationFailures:
     """Failures discovered during the ``iter`` broadcast (send_iter).
 
     Every survivor has already received its iteration message at that
-    point and will deliver a 2-tuple result next, so recovery must wait
+    point and will deliver a result next, so recovery must wait
     for collect() to drain those results — these tests script exactly the
     pipe states the review of the original implementation flagged: eager
     recovery misread a survivor's in-flight result as a broken extend ack
