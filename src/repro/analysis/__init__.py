@@ -23,6 +23,12 @@ MEM001    mem-ok      per-iteration transient footprint stays bounded by
 OBS001    obs-ok      hot-path clock reads route through the
                       ``repro.obs.clock`` seam, never raw ``time.*``
                       (PR 9)
+ROBUST001 robust-ok   parallel-runtime waits are liveness-checked: no
+                      untimed ``recv()`` or process ``join()`` under
+                      ``parallel/``
+CEXT001   cext-ok     shared libraries load only in
+                      ``repro/backend/cext.py``, which builds, pins and
+                      self-tests them
 PRAGMA001 —           every pragma carries a mandatory reason
 ========  ==========  ====================================================
 

@@ -12,9 +12,13 @@ See :mod:`repro.backend.registry` for how to register a new backend and
 pass (required for any future backend PR, per ROADMAP).
 
 :mod:`repro.backend.cext` is not a registered backend: it builds exact C
-kernels at first use and loads them with ``ctypes``; callers such as
-:func:`repro.metrics.stress.pair_stress_terms` use them when they load and
-keep their NumPy path when they do not.
+kernels at first use and loads them with ``ctypes``. Their callers --
+:func:`repro.metrics.stress.pair_stress_terms`, the block merge
+:func:`repro.core.updates.merge_batch` on the ``numpy`` backend, and
+:meth:`repro.prng.xoshiro.Xoshiro256Plus.next_double_block` -- use them
+when they load and keep their NumPy path, with the same bits, when they do
+not. A second backend name for them would only let users choose between
+identical results.
 """
 from .base import MERGE_POLICIES, ArrayBackend
 from .registry import (

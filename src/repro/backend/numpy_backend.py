@@ -13,7 +13,11 @@ selection op is elementwise, so per-term values cannot change) followed by
 the shared block merge, which hoists only coordinate-free work out of the
 segment loop and keeps each segment's displacement and merge expressions —
 making every engine's layouts byte-identical to the historical per-batch
-loop on this backend (``tests/per_batch_reference.py``). The
+loop on this backend (``tests/per_batch_reference.py``). On this backend
+the block's segment loop runs as one compiled call when
+:mod:`repro.backend.cext` loads, with the same expressions in the same
+order; ``merge_scatter`` and ``rowwise_sqnorm`` then serve the NumPy
+fallback, and the compiled kernels' self-test runs against them. The
 ``last_writer`` merge picks each point's surviving contribution with
 ``np.maximum.at`` (order-free) instead of a repeated-index assignment,
 whose order NumPy leaves unspecified; the survivor is the same highest-index

@@ -7,7 +7,8 @@ Sec. V-B's cache-friendly discipline applied to the shared NumPy kernel) —
 regressed silently once before: the hogwild merge allocated two graph-sized
 scratch arrays per 256-term batch, making the default policy ~7× slower than
 ``accumulate`` on the Chr.1-like graph while every modelled metric stayed
-green.
+green. ``perf_apply_batch`` now gates that contract in memory, which does
+not vary with the machine: the traced peak of one merge per term.
 
 Each timing is a best-of-``repeats`` mean over an inner loop (stable on an
 otherwise idle machine) and is recorded with ``deterministic=False``: the
@@ -26,6 +27,7 @@ import numpy as np
 from ...core import PairSampler, initialize_layout
 from ...core.cpu_baseline import CpuBaselineEngine
 from ...core.updates import UpdateWorkspace, merge_batch
+from ...memtrack import PeakTracker
 from ...prng.xoshiro import Xoshiro256Plus, lane_count
 from ..registry import CaseResult, bench_case
 from ..tables import format_table
@@ -68,8 +70,17 @@ def _best_ms(fn: Callable[[], object], inner: int, repeats: int = 7,
 
 @bench_case("perf_apply_batch", source="Sec. V-B (hot path)", suites=("smoke",))
 def run_apply_batch(ctx) -> CaseResult:
-    """One-segment ``merge_batch`` wall time per merge policy: O(batch), not
-    O(graph). ``merge_batch`` is the merge every engine runs per block."""
+    """One-segment ``merge_batch`` wall time and traced peak bytes per term,
+    per merge policy: O(batch), not O(graph). ``merge_batch`` is the merge
+    every engine runs per block.
+
+    ``<policy>_peak_bytes_per_term`` is the ``tracemalloc`` peak of one call,
+    after the timing loop has warmed it, over its 256 terms: deterministic,
+    and hard-gated on every machine. The O(graph) bug allocated two
+    point-sized float64 arrays per call, about 2.9 kB per term on this
+    46,338-point graph; the compacted merge peaks at 107 B per term with
+    the compiled kernels (121, 107 and 136 on the NumPy fallback).
+    """
     graph = ctx.perf_graph
     sampler = PairSampler(graph, ctx.smoke_params)
     rng = Xoshiro256Plus(ctx.seed_for("perf_apply_batch/sample"), n_streams=_BATCH)
@@ -77,7 +88,7 @@ def run_apply_batch(ctx) -> CaseResult:
     coords = initialize_layout(graph, seed=ctx.seed_for("perf_apply_batch/init")).coords
     # The workspace carries the run's backend (``--backend`` / REPRO_BACKEND)
     # and the coordinate state is moved into its memory space, so these
-    # wall times measure whichever merge kernels the run selected.
+    # measurements cover whichever merge kernels the run selected.
     backend = ctx.backend
     workspace = UpdateWorkspace(_BATCH, backend=backend)
 
@@ -86,7 +97,6 @@ def run_apply_batch(ctx) -> CaseResult:
                              "hogwild", workspace)
     out.add("point_collisions", collisions, direction="info")
     rows = []
-    timings = {}
     for merge in ("hogwild", "accumulate", "last_writer"):
         working = backend.from_host(coords.copy())
 
@@ -94,26 +104,17 @@ def run_apply_batch(ctx) -> CaseResult:
             merge_batch(working, batch, 1.0, merge, workspace)
 
         ms = _best_ms(one_batch, inner=200)
-        timings[merge] = ms
+        with PeakTracker(trace=True) as mem:
+            one_batch()
+        per_term = mem.traced_peak_bytes / _BATCH
         out.add(f"{merge}_ms_per_batch", ms, unit="ms", direction="lower",
                 deterministic=False)
-        rows.append([merge, f"{ms:.4f}"])
-    # Machine-independent scaling guard: the O(N) hogwild bug made the
-    # hogwild/accumulate cost ratio ~7, the compacted merge keeps it ~1.
-    # Unlike the raw ms metrics (which compare downgrades to warn across
-    # timing environments), a dimensionless ratio hard-gates on every
-    # machine — including CI runners with a baseline from other hardware.
-    # The gated value is floored at 1.5 so benign cross-machine variation
-    # of the healthy ~1.0-1.3 band never moves the metric; only a genuine
-    # scaling regression (ratio > 1.65 at the 10% threshold) trips it.
-    ratio = timings["hogwild"] / max(timings["accumulate"], 1e-9)
-    out.add("hogwild_to_accumulate_ratio", ratio, unit="x", direction="info",
-            deterministic=False)
-    out.add("hogwild_scaling_guard", max(ratio, 1.5), unit="x",
-            direction="lower", deterministic=False)
+        out.add(f"{merge}_peak_bytes_per_term", per_term, unit="B/term",
+                direction="lower")
+        rows.append([merge, f"{ms:.4f}", f"{per_term:.1f}"])
     out.tables.append(format_table(
-        ["Merge policy", "ms / 256-term batch"], rows,
-        title="Smoke: merge_batch hot-path wall time (Chr.1-like)",
+        ["Merge policy", "ms / 256-term batch", "peak B / term"], rows,
+        title="Smoke: merge_batch hot-path wall time and memory (Chr.1-like)",
     ))
     return out
 
@@ -148,10 +149,12 @@ def run_prng_draw(ctx) -> CaseResult:
     """Xoshiro256+ bulk draw of one iteration's megablock, per double.
 
     The block must equal ``next_double()`` called once per row, bytes and
-    final state, before anything is recorded. ``prng_lanes`` is the lane
-    count the draw picks for this shape: deterministic, and it drops to 1
-    (tripping the ``higher`` gate) if the jump-ahead lane path stops
-    engaging.
+    final state, before anything is recorded. ``prng_ns_per_draw`` times
+    the compiled draw when :mod:`repro.backend.cext` loads. ``prng_lanes``
+    is the lane count the NumPy fallback
+    (:func:`repro.prng.xoshiro.numpy_double_block`) picks for this shape:
+    deterministic, and it drops to 1 (tripping the ``higher`` gate) if the
+    fallback's jump-ahead lane path stops engaging.
     """
     bulk = Xoshiro256Plus(ctx.seed_for("perf_prng_draw/stream"),
                           n_streams=_DRAW_STREAMS)

@@ -4,7 +4,8 @@
 Chr.1-like graph. The fused path merges each run of equal-size segments as
 one block (:func:`repro.core.fused.block_plan`): point indices, ``d_ref``
 weights, μ and every segment's compaction are computed once per block, and
-only the coordinate work runs per segment. Before recording anything the
+only the coordinate work runs per segment (one compiled call for the whole
+block when :mod:`repro.backend.cext` loads). Before recording anything the
 case asserts that the layout equals a ``memory_budget=1`` run, where every
 chunk holds one segment and so every block is one segment: byte-identical
 on the NumPy backend, within 1e-9 elsewhere. It records:

@@ -3,8 +3,7 @@
 ``perf_parallel_scaling`` runs the Chr.1-like smoke workload twice — flat
 :class:`~repro.core.cpu_baseline.CpuBaselineEngine` versus
 :class:`~repro.parallel.shm.ShmHogwildEngine` with two workers — and gates
-the measured parallel path the way ``hogwild_scaling_guard`` gates the
-modelled one:
+the measured parallel path with figures that hold on every machine:
 
 * **speedup-per-worker guard** — the shm iteration time (the engine's
   ``parallel_iterate_s`` counter, which excludes process spawn/attach

@@ -18,7 +18,7 @@ the observability layer's two promises:
   ``selection``/``merge`` — are excluded from the gated count for exactly
   that reason.)
 
-Wall-time overhead is gated like ``perf_apply_batch``'s scaling guard: the
+Wall-time overhead is gated as a dimensionless ratio: the
 traced/untraced ratio floored at :data:`_RATIO_FLOOR`, so benign noise
 around parity never moves the gated value while a tracer that starts
 costing real iteration time trips it everywhere (dimensionless ⇒ no

@@ -22,9 +22,10 @@ baseline produced on a developer machine compared on a CI runner — a raw
 wall-time regression beyond threshold is downgraded to ``warn`` with a
 note, because absolute wall times are not comparable across machines;
 regenerate the baseline on the comparing machine to re-arm that gate.
-Dimensionless measured metrics (e.g. the hogwild/accumulate cost *ratio*,
-unit ``x``) are machine-independent and therefore hard-gate everywhere —
-they are the cross-machine guard against hot-path scaling regressions.
+Measured metrics in other units — dimensionless ratios (unit ``x``) and
+memory (e.g. ``perf_apply_batch``'s traced peak bytes per term) — are
+machine-independent and therefore hard-gate everywhere: they are the
+cross-machine guard against hot-path scaling regressions.
 
 The exit code contract the CI gate relies on: 0 when nothing failed,
 1 when any metric regressed beyond threshold or coverage was lost.

@@ -25,8 +25,10 @@ segment's start, and the write merge per segment is the hogwild/accumulate/
 last_writer scatter. Runs of equal-size segments are merged as blocks
 (:func:`block_plan`): the work that reads no coordinate is computed once per
 block, and the coordinate work still runs segment by segment in plan order,
-so blocks change no value. Under data reuse the blocks are built over the
-expanded segments.
+so blocks change no value. On the NumPy backend that coordinate work is one
+compiled call per block, and the megablock one compiled draw, whenever
+:mod:`repro.backend.cext` loads; both give NumPy's bits. Under data reuse
+the blocks are built over the expanded segments.
 
 Memory is bounded, not O(iteration). A whole iteration in flight costs
 its megablock plus ~320 bytes of other transient state per term (see

@@ -41,6 +41,14 @@ so the per-segment loop holds only the gather, the displacement arithmetic
 and the scatter. Segments still run strictly in order, each reading the
 coordinates as of its own start, so blocks change no value.
 
+Compiled merge: on the NumPy backend the per-segment loop of a whole block
+runs as one C call (:meth:`repro.backend.cext.CompiledKernels.merge_block`)
+that evaluates :func:`merge_segments`' operations in the same order, so
+layouts and collision counts are bit-identical. Its scratch is the
+workspace's per-segment buffers. The compaction stays in NumPy, and
+:func:`merge_segments` runs whenever the kernels are unavailable or an
+array is outside their contract.
+
 Backend dispatch: every array operation goes through an
 :class:`~repro.backend.ArrayBackend` — the workspace buffers are allocated
 from the backend's namespace, the merge scatters are backend kernels, and
@@ -57,7 +65,7 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
+from ..backend import ArrayBackend, cext, get_backend
 from .selection import StepBatch
 
 __all__ = [
@@ -67,6 +75,7 @@ __all__ = [
     "compact_points",
     "prepare_block",
     "compute_displacements",
+    "merge_segments",
     "merge_batch",
     "apply_batch",
     "batch_stress",
@@ -333,6 +342,37 @@ def compute_displacements(
     return points[:n], points[n:], delta
 
 
+def merge_segments(coords: np.ndarray, block: TermBlock, merge: str,
+                   workspace: UpdateWorkspace,
+                   displace=compute_displacements) -> None:
+    """Merge the segments of a prepared ``block`` into ``coords``, in order.
+
+    The array-at-a-time merge: the fallback of the compiled one
+    (:meth:`repro.backend.cext.CompiledKernels.merge_block`) and the
+    reference it is self-tested against. Segment by segment, ``displace``
+    reads the coordinates as of the segment's start, the ``[−δ; δ]``
+    deltas are staged, and the backend's ``merge_scatter`` writes them
+    through the segment's precomputed compaction.
+
+    ``displace`` defaults to :func:`compute_displacements` as defined
+    here. :func:`merge_batch` passes the module's current binding instead,
+    so a timing wrapper installed on that name (perfbench's layer spans)
+    sees every fallback segment and none of the self-test's.
+    """
+    be = workspace.backend
+    xp = be.xp
+    size = block.size
+    bounds = block.bounds
+    all_deltas = workspace.merge_delta[: 2 * size]
+    for segment in range(len(bounds) - 1):
+        _, _, delta = displace(coords, block, segment, workspace)
+        xp.negative(delta, out=all_deltas[:size])
+        all_deltas[size:] = delta
+        lo, hi = bounds[segment], bounds[segment + 1]
+        be.merge_scatter(coords, block.touched[lo:hi], block.inverse[segment],
+                         block.counts[lo:hi], all_deltas, merge)
+
+
 def merge_batch(
     coords: np.ndarray,
     batch: StepBatch,
@@ -346,27 +386,20 @@ def merge_batch(
     The one merge implementation: :func:`apply_batch` calls it with one
     segment, the fused iteration path (:mod:`repro.core.fused`) with a
     block of equal segments. :func:`prepare_block` computes the block's
-    coordinate-free state once; then, segment by segment and in order,
-    :func:`compute_displacements` reads the coordinates as of the segment's
-    start, the ``[−δ; δ]`` deltas are staged, and the backend's
-    ``merge_scatter`` writes them through the segment's precomputed
-    compaction. No statistics are computed here.
+    coordinate-free state, compaction included, once. On the NumPy
+    backend, when :func:`repro.backend.cext.kernels` loads, one compiled
+    call then merges the whole block, segment by segment and bit for bit as
+    :func:`merge_segments` does; otherwise :func:`merge_segments` runs. No
+    statistics are computed here.
 
     Returns the block's point-collision count.
     """
     be = workspace.backend
-    xp = be.xp
     block = prepare_block(batch, eta, workspace, segments, coords.shape[0])
-    size = block.size
-    bounds = block.bounds
-    all_deltas = workspace.merge_delta[: 2 * size]
-    for segment in range(segments):
-        _, _, delta = compute_displacements(coords, block, segment, workspace)
-        xp.negative(delta, out=all_deltas[:size])
-        all_deltas[size:] = delta
-        lo, hi = bounds[segment], bounds[segment + 1]
-        be.merge_scatter(coords, block.touched[lo:hi], block.inverse[segment],
-                         block.counts[lo:hi], all_deltas, merge)
+    compiled = cext.kernels() if be.name == "numpy" else None
+    if compiled is None or not compiled.merge_block(
+            coords, block, merge, workspace.term_delta, workspace.merge_delta):
+        merge_segments(coords, block, merge, workspace, compute_displacements)
     return block.n_collisions
 
 

@@ -13,9 +13,12 @@ to the reference C implementation for any given state.
 The state transition T is linear over GF(2), so T^m = (x^m mod P)(T) for the
 characteristic polynomial P of T (Cayley–Hamilton): any stream can jump m
 calls ahead in 256 steps. The reference C code's ``jump()`` and
-``long_jump()`` are the cases m = 2^128 and m = 2^192. The bulk draw uses
-this to split a long block into lanes that advance side by side (the host
-analogue of the paper's one-state-per-thread GPU streams, Sec. V-B2).
+``long_jump()`` are the cases m = 2^128 and m = 2^192. The NumPy bulk draw
+(:func:`numpy_double_block`) uses this to split a long block into lanes
+that advance side by side (the host analogue of the paper's
+one-state-per-thread GPU streams, Sec. V-B2). When
+:mod:`repro.backend.cext` loads, one compiled call draws the block
+instead, with the same bytes and final state; the lanes are its fallback.
 """
 from __future__ import annotations
 
@@ -23,10 +26,11 @@ import functools
 
 import numpy as np
 
+from ..backend import cext
 from .splitmix import seed_streams
 
 __all__ = ["Xoshiro256Plus", "rotl64", "CHARPOLY", "jump_polynomial",
-           "lane_count"]
+           "lane_count", "numpy_double_block"]
 
 _U64 = np.uint64
 
@@ -162,6 +166,56 @@ def _lane_starts(state: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(acc.reshape(lanes, 4, n).transpose(1, 0, 2))
 
 
+def numpy_double_block(state: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with ``out.shape[0]`` calls of every stream in ``state``.
+
+    ``state`` is an ``(n_streams, 4)`` uint64 array, advanced in place;
+    row ``c`` of the ``(n_calls, n_streams)`` float64 ``out`` is call
+    ``c``. The NumPy body of :meth:`Xoshiro256Plus.next_double_block`: its
+    fallback, and the reference the compiled draw
+    (:meth:`repro.backend.cext.CompiledKernels.double_block`) is
+    self-tested against.
+
+    Short blocks run one tight loop over calls. A block of
+    :func:`lane_count` L > 1 is drawn as L lanes of k = ⌈C/L⌉ calls:
+    lane j starts from the state jumped j·k calls ahead
+    (:func:`jump_polynomial`; all L starts come from one 256-step pass),
+    then a single loop of k steps advances every lane over
+    L × ``n_streams``-wide words, lane j filling rows j·k … j·k+k−1
+    (the last lane stops at row C−1). The state afterwards is the last
+    lane's state at call C. Nothing about the lanes outlives the call.
+    """
+    n_calls, n_streams = out.shape
+    lanes = lane_count(n_calls, n_streams)
+    if lanes == 1:
+        words = state.T.copy()  # contiguous per-word columns
+        t = np.empty_like(words[0])
+        r = np.empty_like(words[0])
+        _fill(*words, t, r, out, 0, n_calls)
+        state[...] = words.T
+    else:
+        # lane_count keeps L <= C/256 and L <= 256, so L(L-1) < C and
+        # the last lane, possibly short, is never empty.
+        k = -(-n_calls // lanes)
+        words = _lane_starts(state, _lane_masks(k, lanes))
+        t = np.empty_like(words[0])
+        r = np.empty_like(words[0])
+        # rows[c] is call c of every lane; lane j owns rows j*k onwards.
+        # The last lane has only ``last`` calls, so the view over all
+        # lanes stops there and the others finish on a view without it.
+        last = n_calls - (lanes - 1) * k
+        row, item = out.strides
+        rows = np.lib.stride_tricks.as_strided(
+            out, shape=(last, lanes, n_streams),
+            strides=(row, k * row, item))
+        _fill(*words, t, r, rows, 0, last)
+        state[...] = words[:, -1].T
+        rest = out[:(lanes - 1) * k].reshape(lanes - 1, k, -1)
+        _fill(*words[:, :-1], t[:-1], r[:-1], rest.transpose(1, 0, 2),
+              last, k)
+    out *= 2.0 ** -53
+
+
 def rotl64(x: np.ndarray, k: int) -> np.ndarray:
     """Rotate ``uint64`` values left by ``k`` bits (vectorised)."""
     k = int(k) % 64
@@ -241,48 +295,19 @@ class Xoshiro256Plus:
         megabatch fill of the fused iteration path and the backing store of
         the sampler's bulk uniforms.
 
-        Short blocks run one tight loop over calls. A block of
-        :func:`lane_count` L > 1 is drawn as L lanes of k = ⌈C/L⌉ calls:
-        lane j starts from the state jumped j·k calls ahead
-        (:func:`jump_polynomial`; all L starts come from one 256-step pass),
-        then a single loop of k steps advances every lane over
-        L × ``n_streams``-wide words, lane j filling rows j·k … j·k+k−1
-        (the last lane stops at row C−1). The state afterwards is the last
-        lane's state at call C. Nothing about the lanes outlives the call.
+        One compiled call fills the block when
+        :func:`repro.backend.cext.kernels` loads (the first draw of a
+        process loads it) and the state is a C-contiguous uint64 array;
+        otherwise :func:`numpy_double_block` does, in jump-ahead lanes for
+        long blocks. Both give the same bytes and the same final state.
         """
         n_calls = int(n_calls)
         if n_calls < 0:
             raise ValueError("n_calls must be >= 0")
-        s = self.state
         out = np.empty((n_calls, self.n_streams), dtype=np.float64)
-        lanes = lane_count(n_calls, self.n_streams)
-        if lanes == 1:
-            words = s.T.copy()  # contiguous per-word columns
-            t = np.empty_like(words[0])
-            r = np.empty_like(words[0])
-            _fill(*words, t, r, out, 0, n_calls)
-            s[...] = words.T
-        else:
-            # lane_count keeps L <= C/256 and L <= 256, so L(L-1) < C and
-            # the last lane, possibly short, is never empty.
-            k = -(-n_calls // lanes)
-            words = _lane_starts(s, _lane_masks(k, lanes))
-            t = np.empty_like(words[0])
-            r = np.empty_like(words[0])
-            # rows[c] is call c of every lane; lane j owns rows j*k onwards.
-            # The last lane has only ``last`` calls, so the view over all
-            # lanes stops there and the others finish on a view without it.
-            last = n_calls - (lanes - 1) * k
-            row, item = out.strides
-            rows = np.lib.stride_tricks.as_strided(
-                out, shape=(last, lanes, self.n_streams),
-                strides=(row, k * row, item))
-            _fill(*words, t, r, rows, 0, last)
-            s[...] = words[:, -1].T
-            rest = out[:(lanes - 1) * k].reshape(lanes - 1, k, -1)
-            _fill(*words[:, :-1], t[:-1], r[:-1], rest.transpose(1, 0, 2),
-                  last, k)
-        out *= 2.0 ** -53
+        compiled = cext.kernels()
+        if compiled is None or not compiled.double_block(self.state, out):
+            numpy_double_block(self.state, out)
         return out
 
     def next_bool(self) -> np.ndarray:

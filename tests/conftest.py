@@ -1,9 +1,11 @@
-"""Shared fixtures: small graphs and fast layout parameters."""
+"""Shared fixtures: small graphs, fast layout parameters, and the compiled
+kernels switched on or off."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.backend import cext
 from repro.core import LayoutParams
 from repro.graph import LeanGraph, figure1_example
 from repro.synth import PangenomeConfig, simulate_pangenome
@@ -84,3 +86,36 @@ def quality_params():
 def rng():
     """Fresh NumPy generator per test."""
     return np.random.default_rng(1234)
+
+
+def _unavailable() -> str:
+    return "compiled kernels made unavailable by the test"
+
+
+@pytest.fixture()
+def no_kernels(monkeypatch):
+    """The compiled kernels unavailable for the whole test: every caller
+    (merge, draw, stress terms) takes its NumPy fallback."""
+    monkeypatch.setattr(cext, "_load", _unavailable)
+
+
+@pytest.fixture()
+def on_fallback(monkeypatch):
+    """``on_fallback(fn, *args)`` calls ``fn`` with the compiled kernels
+    unavailable, for a NumPy reference run inside a compiled test."""
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(cext, "_load", _unavailable)
+            return fn(*args, **kwargs)
+    return call
+
+
+@pytest.fixture()
+def compiled():
+    """The loaded compiled kernels, which every caller then runs; skips
+    only when no C compiler is on ``PATH``."""
+    if cext.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    kernels = cext.kernels()
+    assert kernels is not None, cext.status()
+    return kernels

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis
 from repro.analysis import (
     CheckerRegistry,
     checker,
+    load_builtin_checkers,
     run_analysis,
     scan_pragmas,
 )
@@ -706,3 +708,11 @@ class TestRegistry:
         registry = CheckerRegistry()
         with pytest.raises(UnknownCheckerError):
             registry.get("NOPE001")
+
+    def test_package_rule_table_lists_every_builtin_rule(self):
+        registry = load_builtin_checkers()
+        rows = {line.split()[0]: line.split()[1]
+                for line in repro.analysis.__doc__.splitlines()
+                if line[:1].isupper() and len(line.split()) > 1}
+        for rule in registry.rules():
+            assert rows.get(rule) == registry.pragma_for(rule), rule

@@ -20,7 +20,12 @@ plus a **fused axis** (``TestFusedConformance``): every engine × merge ×
 backend run through the fused per-iteration path vs both the serial
 reference and the per-batch loop it replaced
 (``tests/per_batch_reference.py``) — byte-identical on NumPy, ≤1e-9
-elsewhere, with counters proving every engine really fused.
+elsewhere, with counters proving every engine really fused. Its
+references (the per-batch loop, the unbudgeted run) always run on the
+NumPy fallback of the compiled merge and draw, so every engine × merge ×
+budget (None, 1, "64MB") compares the compiled path's coordinate bytes and
+``point_collisions`` with NumPy's; ``TestFusedConformanceOnFallback``
+repeats the axis with the fallback on both sides.
 
 A registered backend whose toolchain is absent skips cleanly with the
 registry's recorded reason. Registering a new backend makes
@@ -210,13 +215,15 @@ class TestFusedConformance:
 
     def test_fused_matches_unfused_default_config(self, conf_graph,
                                                   engine_kind, merge,
-                                                  backend_name):
+                                                  backend_name, on_fallback):
         _backend_or_skip(backend_name)
         params = _params(merge, backend_name)
-        unfused = PerBatchRun(_default_engine(engine_kind, conf_graph,
-                                              params)).run()
+        unfused = on_fallback(PerBatchRun(_default_engine(
+            engine_kind, conf_graph, params)).run)
         fused = _default_engine(engine_kind, conf_graph, params).run()
         assert fused.total_terms == unfused.total_terms
+        assert (fused.counters["point_collisions"]
+                == unfused.counters["point_collisions"])
         np.testing.assert_allclose(fused.layout.coords, unfused.layout.coords,
                                    atol=ATOL, rtol=0)
         if backend_name == "numpy":
@@ -228,7 +235,8 @@ class TestFusedConformance:
 
     @pytest.mark.parametrize("budget", (1, "64MB"))
     def test_memory_budget_preserves_layout(self, conf_graph, engine_kind,
-                                            merge, backend_name, budget):
+                                            merge, backend_name, budget,
+                                            on_fallback):
         """Chunked megablock (PR 8): the budget is an execution knob only.
 
         A 1-byte budget forces one chunk per segment — the maximally
@@ -238,11 +246,14 @@ class TestFusedConformance:
         """
         _backend_or_skip(backend_name)
         params = _params(merge, backend_name)
-        unbudgeted = _default_engine(engine_kind, conf_graph, params).run()
+        unbudgeted = on_fallback(
+            _default_engine(engine_kind, conf_graph, params).run)
         budgeted = _default_engine(
             engine_kind, conf_graph,
             params.with_(memory_budget=budget)).run()
         assert budgeted.total_terms == unbudgeted.total_terms
+        assert (budgeted.counters["point_collisions"]
+                == unbudgeted.counters["point_collisions"])
         np.testing.assert_allclose(budgeted.layout.coords,
                                    unbudgeted.layout.coords,
                                    atol=ATOL, rtol=0)
@@ -256,6 +267,11 @@ class TestFusedConformance:
             plan = engine.batch_plan(
                 engine.params.steps_per_iteration(conf_graph.total_steps))
             assert budgeted.counters["fused_chunks"] == len(plan)
+
+
+@pytest.mark.usefixtures("no_kernels")
+class TestFusedConformanceOnFallback(TestFusedConformance):
+    """The fused axis with the engine on the NumPy fallback too."""
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -6,7 +6,8 @@ Every engine path merges through one kernel
 serial-reference checks compare that kernel with itself. These tests
 compare it with :mod:`merge_reference`, which runs the earlier
 per-segment sequence on plain NumPy: coordinate bytes and collision
-counts must match exactly for every merge policy.
+counts must match exactly for every merge policy, on the compiled merge
+and on its NumPy fallback (``TestAgainstOracleOnFallback``).
 """
 from __future__ import annotations
 
@@ -201,6 +202,12 @@ class TestAgainstOracle:
             128 - (block.bounds[s + 1] - block.bounds[s]) for s in range(9))
 
 
+@pytest.mark.usefixtures("no_kernels")
+class TestAgainstOracleOnFallback(TestAgainstOracle):
+    """The oracle comparisons above on the NumPy merge the compiled one
+    falls back to."""
+
+
 @given(
     graph_seed=st.integers(min_value=0, max_value=5),
     backbone=st.integers(min_value=8, max_value=50),
@@ -228,12 +235,10 @@ def test_random_graphs_plans_and_policies(graph_seed, backbone, loop_pct, runs,
 
 
 class TestRunPath:
-    def test_layer_call_sites_run_once_per_block_or_segment(
-            self, small_synthetic, monkeypatch):
-        """``merge_batch`` (looked up in ``repro.core.fused``) and
-        ``compact_points`` run once per block, ``compute_displacements``
-        (looked up in ``repro.core.updates``) and ``merge_scatter`` once per
-        segment."""
+    @staticmethod
+    def _count_layer_calls(graph, monkeypatch):
+        """Run two CPU-baseline iterations, counting each perfbench-timed
+        call site; returns the counts and the batch plan."""
         calls = {"merge": 0, "displace": 0, "compact": 0, "scatter": 0}
 
         def counting(key, fn):
@@ -252,14 +257,31 @@ class TestRunPath:
                             counting("scatter", NumpyBackend.merge_scatter))
         params = LayoutParams(iter_max=2, steps_per_step_unit=3.0, seed=5,
                               backend="numpy")
-        engine = CpuBaselineEngine(small_synthetic, params)
-        plan = engine.batch_plan(params.steps_per_iteration(
-            small_synthetic.total_steps))
+        engine = CpuBaselineEngine(graph, params)
+        plan = engine.batch_plan(params.steps_per_iteration(graph.total_steps))
         result = engine.run()
         assert result.counters["fused_iterations"] == 2.0
+        return calls, plan
+
+    def test_layer_call_sites_run_once_per_block_or_segment(
+            self, small_synthetic, monkeypatch, no_kernels):
+        """On the NumPy merge, ``merge_batch`` (looked up in
+        ``repro.core.fused``) and ``compact_points`` run once per block,
+        ``compute_displacements`` (looked up in ``repro.core.updates``) and
+        ``merge_scatter`` once per segment."""
+        calls, plan = self._count_layer_calls(small_synthetic, monkeypatch)
         assert calls["merge"] == calls["compact"] == 2 * len(block_plan(plan))
         assert calls["displace"] == calls["scatter"] == 2 * len(plan)
         assert len(block_plan(plan)) < len(plan)
+
+    def test_compiled_merge_runs_no_segment_call_site(
+            self, small_synthetic, monkeypatch, compiled):
+        """The compiled merge keeps ``merge_batch`` and ``compact_points``
+        at once per block and calls neither ``compute_displacements`` nor
+        ``merge_scatter``."""
+        calls, plan = self._count_layer_calls(small_synthetic, monkeypatch)
+        assert calls["merge"] == calls["compact"] == 2 * len(block_plan(plan))
+        assert calls["displace"] == calls["scatter"] == 0
 
     @pytest.mark.parametrize("merge", MERGES)
     def test_engine_paths_agree(self, small_synthetic, merge):

@@ -12,7 +12,10 @@ history records, the batched engine's ``op_profile`` and every
 
 The backend is ``$REPRO_BACKEND`` (NumPy by default); on any other backend
 coordinates and sampled stresses are held to 1e-9 and the counts stay
-exact.
+exact. The oracle merges through ``merge_batch`` too, so it always runs on
+the NumPy fallback (``on_fallback``). The engine under test runs on the
+compiled merge and draw (the default when they load) and, in
+``TestAgainstPerBatchLoopOnFallback``, on the fallback.
 """
 from __future__ import annotations
 
@@ -118,39 +121,40 @@ def _assert_same_ops(new, old):
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("merge", MERGES)
 class TestAgainstPerBatchLoop:
-    def test_batched_engine(self, graph, merge, budget):
+    def test_batched_engine(self, graph, merge, budget, on_fallback):
         params = _params(merge, budget)
         engine = BatchedLayoutEngine(graph, params)
         new = engine.run()
         oracle = PerBatchRun(BatchedLayoutEngine(graph, params))
-        _assert_same_run(new, oracle.run())
+        _assert_same_run(new, on_fallback(oracle.run))
         _assert_same_ops(engine, oracle)
         # The counter now counts the launch column (20 per batch), as
         # op_profile does; the per-batch hook added 12, one per op kind.
         assert new.counters["kernel_launches"] == engine.op_profile.total_launches
 
     @pytest.mark.parametrize("config", GPU_CONFIGS, ids=str)
-    def test_gpu_engine(self, graph, merge, budget, config):
+    def test_gpu_engine(self, graph, merge, budget, config, on_fallback):
         cfg = GPU_CONFIGS[config]
         params = _params(merge, budget)
         engine = OptimizedGpuEngine(graph, params, cfg)
         new = engine.run()
         oracle = PerBatchRun(OptimizedGpuEngine(graph, params, cfg))
-        _assert_same_run(new, oracle.run())
+        _assert_same_run(new, on_fallback(oracle.run))
         got = engine.profile(n_sample_terms=512, iteration=1)
-        expect = oracle.profile(n_sample_terms=512, iteration=1)
+        expect = on_fallback(oracle.profile, n_sample_terms=512, iteration=1)
         assert dataclasses.asdict(got) == dataclasses.asdict(expect)
         assert (got.detail["warp_cooling_fraction"]
                 == oracle.warp_cooling_fraction)
 
-    def test_fixed_hop(self, tiny, merge, budget):
+    def test_fixed_hop(self, tiny, merge, budget, on_fallback):
         params = _params(merge, budget, iter_max=2)
         new = SerialReferenceEngine(tiny, params).run_fixed_hop(hop=3)
-        old = PerBatchRun(SerialReferenceEngine(tiny, params), hop=3).run()
+        old = on_fallback(PerBatchRun(SerialReferenceEngine(tiny, params),
+                                      hop=3).run)
         _assert_same_run(new, old)
 
     @pytest.mark.parametrize("kind", ("cpu", "gpu-drf2", "batch"))
-    def test_record_history(self, graph, merge, budget, kind):
+    def test_record_history(self, graph, merge, budget, kind, on_fallback):
         params = _params(merge, budget, record_history=True)
         if kind == "cpu":
             make = lambda: CpuBaselineEngine(graph, params)  # noqa: E731
@@ -160,12 +164,13 @@ class TestAgainstPerBatchLoop:
             make = lambda: OptimizedGpuEngine(  # noqa: E731
                 graph, params, GPU_CONFIGS["drf2-srf2"])
         new = make().run()
-        old = PerBatchRun(make()).run()
+        old = on_fallback(PerBatchRun(make()).run)
         assert len(new.history) == params.iter_max
         _assert_same_run(new, old)
 
     @pytest.mark.parametrize("kind", ("gpu", "batch"))
-    def test_two_levels(self, graph, merge, budget, kind, monkeypatch):
+    def test_two_levels(self, graph, merge, budget, kind, monkeypatch,
+                        on_fallback):
         params = _params(merge, budget, levels=2, coarsen_min_nodes=8)
         new_driver = MultilevelDriver(graph, params, engine=kind)
         assert new_driver.hierarchy.depth == 2
@@ -173,8 +178,13 @@ class TestAgainstPerBatchLoop:
         build = MultilevelDriver._make_level_engine
         monkeypatch.setattr(MultilevelDriver, "_make_level_engine",
                             lambda self, *a: PerBatchRun(build(self, *a)))
-        old = MultilevelDriver(graph, params, engine=kind).run()
+        old = on_fallback(MultilevelDriver(graph, params, engine=kind).run)
         _assert_same_layout(new, old)
+
+
+@pytest.mark.usefixtures("no_kernels")
+class TestAgainstPerBatchLoopOnFallback(TestAgainstPerBatchLoop):
+    """The comparisons above with the engine on the NumPy fallback too."""
 
 
 @pytest.mark.parametrize("warp,merging,reuse", [(2, True, 1), (2, False, 3),

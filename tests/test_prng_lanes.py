@@ -2,10 +2,12 @@
 
 Blocks of at least ``_LANE_MIN_CALLS`` calls are drawn as L lanes started
 by jump polynomials; the sequential loop in :mod:`xoshiro_reference` is the
-oracle they must match byte for byte, in output and final state. The jump
-polynomial's modulus (``CHARPOLY``) is pinned independently: re-derived by
-Berlekamp–Massey and checked against the reference C code's ``JUMP`` and
-``LONG_JUMP`` words.
+oracle they must match byte for byte, in output and final state. The
+differential tests run twice: on the compiled draw (the default when it
+loads), and in ``TestNumpyLanes`` on the NumPy lanes it falls back to.
+The jump polynomial's modulus (``CHARPOLY``) is pinned independently:
+re-derived by Berlekamp–Massey and checked against the reference C code's
+``JUMP`` and ``LONG_JUMP`` words.
 """
 from __future__ import annotations
 
@@ -82,6 +84,20 @@ def test_consecutive_blocks_equal_one_block(a, b):
        n_calls=st.integers(0, 6000))
 def test_lane_draw_property(seed, n_streams, n_calls):
     _assert_matches_oracle(seed, n_streams, n_calls)
+
+
+@pytest.mark.usefixtures("no_kernels")
+class TestNumpyLanes:
+    """The differential tests above on the NumPy lanes the compiled draw
+    falls back to."""
+
+    test_lane_draw_matches_sequential_loop = staticmethod(
+        test_lane_draw_matches_sequential_loop)
+    test_small_and_iteration_sized_blocks = staticmethod(
+        test_small_and_iteration_sized_blocks)
+    test_consecutive_blocks_equal_one_block = staticmethod(
+        test_consecutive_blocks_equal_one_block)
+    test_lane_draw_property = staticmethod(test_lane_draw_property)
 
 
 def test_lane_rule():
