@@ -9,8 +9,8 @@ and every substrate its evaluation depends on:
 * :mod:`repro.prng` — Xoshiro256+ / XORWOW generators with AoS/SoA states;
 * :mod:`repro.core` — the CPU baseline, the batched PyTorch-style engine and
   the optimized GPU kernel with the paper's three optimisations;
-* :mod:`repro.backend` — the array-backend registry of the hot path (NumPy)
-  and the compiled exact C kernels (:mod:`repro.backend.cext`);
+* :mod:`repro.backend` — the hot path's one execution backend (NumPy) and
+  the compiled exact C kernels (:mod:`repro.backend.cext`);
 * :mod:`repro.multilevel` — path-preserving chain-contraction hierarchy and
   the coarse-to-fine V-cycle driver (``LayoutParams(levels=N)``);
 * :mod:`repro.gpusim` — the GPU execution-model simulator (coalescing, caches,
@@ -53,7 +53,6 @@ from . import (
     render,
     synth,
 )
-from .backend import available_backends, get_backend
 from .core import LayoutParams, layout_graph, make_engine
 from .multilevel import MultilevelDriver
 
@@ -61,8 +60,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "backend",
-    "available_backends",
-    "get_backend",
     "bench",
     "core",
     "gpusim",

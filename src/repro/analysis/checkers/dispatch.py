@@ -1,7 +1,7 @@
 """XP001 — the backend-dispatch contract (PR 3).
 
 The host/device seam: code that has been handed an execution backend (an
-``xp`` array namespace or an :class:`~repro.backend.ArrayBackend`) must do
+``xp`` array namespace or a :class:`~repro.backend.NumpyBackend`) must do
 its array math *through* it. A module-level ``np.`` call inside such a
 function silently pins the operation to host NumPy — correct on the numpy
 backend, a device-residency break (implicit transfer or outright

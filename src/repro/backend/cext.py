@@ -8,8 +8,7 @@ neither contracts nor reassociates (:data:`CFLAGS`):
 * :meth:`CompiledKernels.pair_stress_terms` for
   :func:`repro.metrics.stress.numpy_pair_stress_terms`;
 * :meth:`CompiledKernels.merge_block` for
-  :func:`repro.core.updates.merge_segments`, one call per merge block on
-  the NumPy backend;
+  :func:`repro.core.updates.merge_segments`, one call per merge block;
 * :meth:`CompiledKernels.double_block` for
   :func:`repro.prng.xoshiro.numpy_double_block`, one call per
   ``next_double_block``.
@@ -47,10 +46,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .base import check_kernel
-
-__all__ = ["CFLAGS", "CompiledKernels", "MERGE_CODES", "build", "kernels",
-           "status"]
+__all__ = ["CFLAGS", "CompiledKernels", "MERGE_CODES", "build", "check_kernel",
+           "kernels", "status"]
 
 #: Compile flags. ``-ffp-contract=off``: GCC contracts ``a*b + c`` into one
 #: fused multiply-add by default wherever the target has one (aarch64, for
@@ -99,7 +96,9 @@ def library_name(source: bytes, compiler: str) -> str:
     return f"cext-{key.hexdigest()[:32]}.so"
 
 
-#: ``merge_block``'s policy numbers (``cext.c``).
+#: ``merge_block``'s policy numbers (``cext.c``), keyed by
+#: :data:`repro.core.params.MERGE_POLICIES` (not imported: ``core`` imports
+#: this module).
 MERGE_CODES = {"hogwild": 0, "accumulate": 1, "last_writer": 2}
 
 
@@ -278,6 +277,30 @@ def load(path: Path) -> Union[CompiledKernels, str]:
     except AssertionError as exc:
         return f"self-test mismatch: {exc}"
     return compiled
+
+
+def check_kernel(kernel: str, got, expect, atol: float = 0.0) -> None:
+    """Raise ``AssertionError`` naming ``kernel`` unless ``got`` matches ``expect``.
+
+    Both must have one shape. With ``atol`` > 0 every ``|got - expect|``
+    must be at most ``atol``. Otherwise they must be equal: for floats that
+    means equal bits, with any NaN matching any NaN.
+
+    The self-tests call this instead of ``numpy.testing``, whose import
+    pulls ``unittest`` and more into every process that runs a layout.
+    """
+    got, expect = np.asarray(got), np.asarray(expect)
+    if got.shape != expect.shape:
+        raise AssertionError(f"{kernel}: shape {got.shape}, expected {expect.shape}")
+    if atol > 0:
+        ok = bool(np.all(np.abs(got - expect) <= atol))
+    elif got.dtype.kind == "f" and expect.dtype == got.dtype:
+        ok = (np.where(np.isnan(got), np.nan, got).tobytes()
+              == np.where(np.isnan(expect), np.nan, expect).tobytes())
+    else:
+        ok = bool(np.array_equal(got, expect))
+    if not ok:
+        raise AssertionError(f"{kernel}: result differs from the NumPy reference")
 
 
 def _self_test(compiled: CompiledKernels) -> None:

@@ -1,31 +1,33 @@
-"""The always-available NumPy reference backend.
+"""The execution backend: the layout hot path's kernels over NumPy.
 
-This backend *is* the historical implementation: every override below
-performs the same floating-point operations, in the same order, as the
-pre-backend hot path, so layouts on the default backend are byte-identical
-to the seed implementation and the committed smoke baseline does not move.
-Other backends are validated against this one (registry self-test +
-``tests/test_conformance.py``).
+Every engine, shm worker and bench case runs on the one instance,
+:data:`NUMPY_BACKEND`. Its kernels are the historical hot path: every
+method performs the same floating-point operations, in the same order, as
+the pre-backend code, so layouts are byte-identical to the seed
+implementation and the committed smoke baseline does not move.
 
-The fused iteration path (``run_iteration``, inherited from the generic
-base) is held to the same bar: one vectorised selection pass (every
-selection op is elementwise, so per-term values cannot change) followed by
-the shared block merge, which hoists only coordinate-free work out of the
-segment loop and keeps each segment's displacement and merge expressions —
-making every engine's layouts byte-identical to the historical per-batch
-loop on this backend (``tests/per_batch_reference.py``). On this backend
-the block's segment loop runs as one compiled call when
-:mod:`repro.backend.cext` loads, with the same expressions in the same
-order; ``merge_scatter`` and ``rowwise_sqnorm`` then serve the NumPy
-fallback, and the compiled kernels' self-test runs against them. The
-``last_writer`` merge picks each point's surviving contribution with
-``np.maximum.at`` (order-free) instead of a repeated-index assignment,
-whose order NumPy leaves unspecified; the survivor is the same highest-index
-contribution. The same argument covers
+``run_iteration`` is one fused iteration chunk
+(:func:`repro.core.fused.run_iteration_host`): one vectorised selection
+pass (every selection op is elementwise, so per-term values cannot change)
+followed by the block merge, which hoists only coordinate-free work out of
+the segment loop and keeps each segment's displacement and merge
+expressions, so every engine's layouts are byte-identical to the
+historical per-batch loop (``tests/per_batch_reference.py``). A block's
+segment loop runs as one compiled call when :mod:`repro.backend.cext`
+loads, with the same expressions in the same order; ``merge_scatter`` and
+``rowwise_sqnorm`` then serve the NumPy fallback, and the compiled
+kernels' self-test runs against them. The ``last_writer`` merge picks each
+point's surviving contribution with ``np.maximum.at`` (order-free) instead
+of a repeated-index assignment, whose order NumPy leaves unspecified; the
+survivor is the same highest-index contribution. The same argument covers
 the chunked fused path (``LayoutParams.memory_budget``): chunk boundaries
 are segment boundaries and the bulk PRNG draw is interchangeable
-mid-stream, so budgeted layouts are byte-identical to unbudgeted ones here
-for every budget — the anchor the chunk-boundary property tests pin.
+mid-stream, so budgeted layouts are byte-identical to unbudgeted ones for
+every budget, the anchor the chunk-boundary property tests pin.
+
+The kernels are methods called through the instance, so a wrapper set on
+the class attribute (perfbench's layer spans, the tests' call counters)
+sees every call of the run.
 """
 from __future__ import annotations
 
@@ -33,40 +35,37 @@ from typing import Tuple
 
 import numpy as np
 
-from .base import ArrayBackend
-
-__all__ = ["NumpyBackend"]
+__all__ = ["NUMPY_BACKEND", "NumpyBackend"]
 
 
-class NumpyBackend(ArrayBackend):
-    """Host-resident reference backend over plain NumPy."""
+class NumpyBackend:
+    """The layout hot path's kernels over host NumPy arrays."""
 
     name = "numpy"
-    xp = np
-
-    # Transfers are identities: coordinate state already lives on the host,
-    # and returning the input array keeps in-place updates visible.
-    def from_host(self, a: np.ndarray) -> np.ndarray:
-        return a
-
-    def to_host(self, a: np.ndarray) -> np.ndarray:
-        return a
 
     def compact_points(self, points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # One sort-based pass; identical to the historical compact_points.
+        """``(unique_points, inverse, counts)`` of a flat point-index array,
+        from one sort-based pass."""
         points = np.asarray(points)
         unique_points, inverse = np.unique(points, return_inverse=True)
         counts = np.bincount(inverse, minlength=unique_points.size)
         return unique_points, inverse, counts
 
     def rowwise_sqnorm(self, a, out=None) -> np.ndarray:
+        """Per-row squared L2 norm of an ``(n, 2)`` array."""
         # einsum with ``out=`` is both the fastest NumPy spelling and the
-        # historical one; the generic ``(a*a).sum(axis=1)`` is numerically
-        # identical (two-term sums) but allocates a temporary.
+        # historical one; ``(a*a).sum(axis=1)`` is numerically identical
+        # (two-term sums) but allocates a temporary.
         return np.einsum("ij,ij->i", a, a, out=out)
 
     def merge_scatter(self, coords, touched, inverse, counts, all_deltas,
                       merge: str) -> None:
+        """Merge per-term deltas into ``coords`` over the compacted point space.
+
+        ``touched``/``inverse``/``counts`` come from :meth:`compact_points`
+        over the term endpoints; ``all_deltas`` holds one delta row per
+        endpoint occurrence. Mutates ``coords`` in place.
+        """
         # Per-column views: 1-D fancy indexing on a strided column is
         # markedly cheaper than mixed ``coords[touched, 0]`` indexing, and
         # ``touched`` is unique, so the values written are the same.
@@ -87,3 +86,17 @@ class NumpyBackend(ArrayBackend):
             coords[touched] += np.take(all_deltas, last, axis=0)
         else:  # pragma: no cover - callers validate before dispatch
             raise ValueError(f"unknown merge policy {merge!r}")
+
+    def run_iteration(self, plan, coords, uniforms, eta: float,
+                      iteration: int):
+        """Run one fused iteration chunk: selection, displacement and merge
+        for every segment of ``plan`` over the pre-drawn ``uniforms``
+        megablock (see :func:`repro.core.fused.run_iteration_host`)."""
+        from ..core.fused import run_iteration_host  # runtime import: the
+        # module dependency points core -> backend, never the reverse.
+
+        return run_iteration_host(plan, coords, uniforms, eta, iteration)
+
+
+#: The one backend instance every engine, worker and kernel caller uses.
+NUMPY_BACKEND = NumpyBackend()

@@ -86,19 +86,14 @@ def run_apply_batch(ctx) -> CaseResult:
     rng = Xoshiro256Plus(ctx.seed_for("perf_apply_batch/sample"), n_streams=_BATCH)
     batch = sampler.sample(rng, _BATCH, iteration=0)
     coords = initialize_layout(graph, seed=ctx.seed_for("perf_apply_batch/init")).coords
-    # The workspace carries the run's backend (``--backend`` / REPRO_BACKEND)
-    # and the coordinate state is moved into its memory space, so these
-    # measurements cover whichever merge kernels the run selected.
-    backend = ctx.backend
-    workspace = UpdateWorkspace(_BATCH, backend=backend)
+    workspace = UpdateWorkspace(_BATCH)
 
     out = CaseResult(graph_properties=ctx.graph_properties(graph))
-    collisions = merge_batch(backend.from_host(coords.copy()), batch, 1.0,
-                             "hogwild", workspace)
+    collisions = merge_batch(coords.copy(), batch, 1.0, "hogwild", workspace)
     out.add("point_collisions", collisions, direction="info")
     rows = []
     for merge in ("hogwild", "accumulate", "last_writer"):
-        working = backend.from_host(coords.copy())
+        working = coords.copy()
 
         def one_batch(working=working, merge=merge):
             merge_batch(working, batch, 1.0, merge, workspace)

@@ -7,8 +7,8 @@ weights, μ and every segment's compaction are computed once per block, and
 only the coordinate work runs per segment (one compiled call for the whole
 block when :mod:`repro.backend.cext` loads). Before recording anything the
 case asserts that the layout equals a ``memory_budget=1`` run, where every
-chunk holds one segment and so every block is one segment: byte-identical
-on the NumPy backend, within 1e-9 elsewhere. It records:
+chunk holds one segment and so every block is one segment, byte for
+byte. It records:
 
 * ``merge_us_per_segment`` — the fused path's own ``merge`` trace spans
   (prepare + segment loop, per chunk) divided by the segments they
@@ -46,11 +46,7 @@ def run_segment_merge(ctx) -> CaseResult:
 
     _, blocked = _best_run(traced_engine)
     single = CpuBaselineEngine(graph, params.with_(memory_budget=1)).run()
-    if ctx.backend_name == "numpy":
-        assert np.array_equal(blocked.layout.coords, single.layout.coords)
-    else:
-        np.testing.assert_allclose(blocked.layout.coords, single.layout.coords,
-                                   atol=1e-9, rtol=0)
+    assert np.array_equal(blocked.layout.coords, single.layout.coords)
     assert blocked.total_terms == single.total_terms
     assert blocked.counters["fused_iterations"] > 0
 
@@ -67,14 +63,12 @@ def run_segment_merge(ctx) -> CaseResult:
     per_segment = []
     for tracer in tracers:
         merges = [e for e in tracer.events if e.name == "merge"]
-        if merges:  # backends with their own fused kernel emit no merge span
-            per_segment.append(sum(e.dur for e in merges)
-                               / sum(e.count for e in merges))
-    if per_segment:
-        us = min(per_segment) * 1e6
-        out.add("merge_us_per_segment", us, unit="us", direction="lower",
-                deterministic=False)
-        rows.append(["merge µs per segment (best)", f"{us:.1f}"])
+        per_segment.append(sum(e.dur for e in merges)
+                           / sum(e.count for e in merges))
+    us = min(per_segment) * 1e6
+    out.add("merge_us_per_segment", us, unit="us", direction="lower",
+            deterministic=False)
+    rows.append(["merge µs per segment (best)", f"{us:.1f}"])
     out.tables.append(format_table(
         ["Quantity", "Value"], rows,
         title="Smoke: hoisted segment merge (Chr.1-like @0.1)",

@@ -25,7 +25,7 @@ the measured parallel path with figures that hold on every machine:
 
 Before recording anything the case asserts the acceptance-bar invariant:
 a ``workers=1`` shm run — through the real process/shared-memory machinery —
-is byte-identical to the flat engine on the NumPy backend.
+is byte-identical to the flat engine.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ import os
 
 import numpy as np
 
-from ...backend import get_backend
 from ...core import CpuBaselineEngine
 from ...core.fused import slice_plan
 from ...parallel.hogwild import expected_collision_probability, measure_collisions
@@ -56,15 +55,6 @@ _REPEATS = 3
 #: Iterations per measured run (the per-iteration contrast is identical
 #: every iteration; short runs tighten the repeats).
 _ITER_MAX = 4
-
-
-def _host_params(ctx, **overrides):
-    """Smoke params on a host-resident backend (shm needs mapped host RAM)."""
-    params = ctx.smoke_params.with_(iter_max=_ITER_MAX, **overrides)
-    probe = np.zeros(1)
-    if get_backend(params.backend).from_host(probe) is not probe:
-        params = params.with_(backend="numpy")
-    return params
 
 
 def _best_run(engine_factory, elapsed_of):
@@ -93,7 +83,7 @@ def _best_run(engine_factory, elapsed_of):
 def run_parallel_scaling(ctx) -> CaseResult:
     """Process-parallel hogwild: bounded overhead, collisions match the model."""
     graph = ctx.chr1_graph
-    params = _host_params(ctx)
+    params = ctx.smoke_params.with_(iter_max=_ITER_MAX)
 
     flat_s, flat = _best_run(lambda: CpuBaselineEngine(graph, params),
                              lambda r: r.wall_time_s)
@@ -101,11 +91,7 @@ def run_parallel_scaling(ctx) -> CaseResult:
     # Acceptance-bar invariant: one worker through the real process +
     # shared-memory machinery reproduces the flat engine bit for bit.
     one = ShmHogwildEngine(graph, params.with_(workers=1)).run()
-    if params.backend in (None, "numpy"):
-        assert np.array_equal(one.layout.coords, flat.layout.coords)
-    else:
-        np.testing.assert_allclose(one.layout.coords, flat.layout.coords,
-                                   atol=1e-9, rtol=0)
+    assert np.array_equal(one.layout.coords, flat.layout.coords)
     assert one.total_terms == flat.total_terms
 
     par_s, par = _best_run(

@@ -11,8 +11,8 @@ It drives the same worker processes twice over the smoke workload —
   :class:`~repro.parallel.supervise.WorkerSupervisor`'s poll-with-deadline
   liveness loop, policy machinery armed but never triggered —
 
-and gates three things: the two paths stay **byte-identical** on the NumPy
-backend at ``workers=1`` (supervision must never touch draw order or the
+and gates three things: the two paths stay **byte-identical** at
+``workers=1`` (supervision must never touch draw order or the
 store pattern), the supervised/bare iterate-time ratio stays under a
 floored guard (the poll loop blocks on the pipe exactly like ``recv`` when
 the worker is healthy, so the overhead is wakeup noise — the guard trips
@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 
-from ...backend import get_backend
 from ...core.layout import initialize_layout
 from ...parallel.shm import ShmHogwildEngine, _worker_main
 from ..registry import CaseResult, bench_case
@@ -44,15 +43,6 @@ _REPEATS = 3
 
 #: Iterations per measured run.
 _ITER_MAX = 4
-
-
-def _host_params(ctx, **overrides):
-    """Smoke params on a host-resident backend (shm needs mapped host RAM)."""
-    params = ctx.smoke_params.with_(iter_max=_ITER_MAX, **overrides)
-    probe = np.zeros(1)
-    if get_backend(params.backend).from_host(probe) is not probe:
-        params = params.with_(backend="numpy")
-    return params
 
 
 def _bare_barrier_run(graph, params):
@@ -118,7 +108,7 @@ def _bare_barrier_run(graph, params):
 def run_supervised_overhead(ctx) -> CaseResult:
     """Supervision is free when healthy: identical bytes, bounded overhead."""
     graph = ctx.chr1_graph
-    params = _host_params(ctx, workers=1)
+    params = ctx.smoke_params.with_(iter_max=_ITER_MAX, workers=1)
 
     bare_s = float("inf")
     bare_coords = None
@@ -136,13 +126,9 @@ def run_supervised_overhead(ctx) -> CaseResult:
         supervised = candidate
 
     # Byte-identity gate: the supervised path must reproduce the
-    # pre-supervision loop bit for bit (numpy, workers=1 — the
-    # deterministic cell of the engine matrix).
-    if params.backend in (None, "numpy"):
-        assert np.array_equal(supervised.layout.coords, bare_coords)
-    else:
-        np.testing.assert_allclose(supervised.layout.coords, bare_coords,
-                                   atol=1e-9, rtol=0)
+    # pre-supervision loop bit for bit (workers=1 — the deterministic cell
+    # of the engine matrix).
+    assert np.array_equal(supervised.layout.coords, bare_coords)
 
     ratio = supervised_s / max(bare_s, 1e-12)
     failures = supervised.counters.get("worker_failures", 0.0)

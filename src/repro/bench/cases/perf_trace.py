@@ -7,16 +7,15 @@ the observability layer's two promises:
 
 * **byte-identity** — tracing only ever reads the clock and appends
   events; it must never move a sampled term or a coordinate. Asserted
-  exactly on the NumPy backend before anything is recorded.
+  byte for byte before anything is recorded.
 * **event economics** — engines emit per-iteration *aggregates*
   (:data:`_ENGINE_SPANS`: one ``draw``/``dispatch``/``iteration`` trio per
   iteration), never per-term or per-batch events. The
   ``events_per_iteration`` metric pins that contract at exactly 3.0 —
   deterministic and machine-independent, so any change that silently makes
   event volume scale with batch or chunk count fails the gate on every
-  machine. (Backend-dependent spans — the fused host path's
-  ``selection``/``merge`` — are excluded from the gated count for exactly
-  that reason.)
+  machine. (The per-chunk ``selection``/``merge`` spans are excluded
+  from the gated count for exactly that reason.)
 
 Wall-time overhead is gated as a dimensionless ratio: the
 traced/untraced ratio floored at :data:`_RATIO_FLOOR`, so benign noise
@@ -40,7 +39,7 @@ from .perf_fused import _ITER_MAX, _best_run
 #: threshold only trips past ~1.38x: tracing grew real per-iteration cost.
 _RATIO_FLOOR = 1.25
 
-#: The backend-independent engine span set whose per-iteration volume the
+#: The engine span set whose per-iteration volume the
 #: ``events_per_iteration`` metric gates (one of each per iteration).
 _ENGINE_SPANS = ("draw", "dispatch", "iteration")
 
@@ -64,13 +63,8 @@ def run_trace_overhead(ctx) -> CaseResult:
 
     traced_s, traced = _best_run(traced_factory)
 
-    # Tracing reads clocks and appends events — nothing else. Byte-identity
-    # on the reference backend, the conformance tolerance elsewhere.
-    if ctx.backend_name == "numpy":
-        assert np.array_equal(traced.layout.coords, plain.layout.coords)
-    else:
-        np.testing.assert_allclose(traced.layout.coords, plain.layout.coords,
-                                    atol=1e-9, rtol=0)
+    # Tracing reads clocks and appends events — nothing else.
+    assert np.array_equal(traced.layout.coords, plain.layout.coords)
     assert traced.total_terms == plain.total_terms
 
     # Structure determinism: every traced repeat of the same commit + seed

@@ -18,11 +18,10 @@ the paper-calibrated graph shapes.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend, resolve_backend_name
 from ..core.params import LayoutParams
 from ..graph.lean import LeanGraph
 from ..prng.splitmix import derive_seed
@@ -45,15 +44,10 @@ DEFAULT_MASTER_SEED = 9399
 class BenchContext:
     """Datasets, layout parameters and derived seeds shared by bench cases."""
 
-    def __init__(self, master_seed: int = DEFAULT_MASTER_SEED,
-                 backend: Optional[str] = None) -> None:
+    def __init__(self, master_seed: int = DEFAULT_MASTER_SEED) -> None:
         if not 0 <= int(master_seed) < 2**63:
             raise ValueError("master_seed must be a non-negative 63-bit integer")
         self.master_seed = int(master_seed)
-        # Resolved eagerly (name + instance) so an unavailable backend fails
-        # before any case runs, with the registry's recorded reason.
-        self.backend_name = resolve_backend_name(backend)
-        self.backend: ArrayBackend = get_backend(self.backend_name)
         self._graphs: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ seeds
@@ -75,20 +69,19 @@ class BenchContext:
         calibrated legacy trajectories exactly.
         """
         return LayoutParams(iter_max=10, steps_per_step_unit=2.0,
-                            seed=self.master_seed, backend=self.backend_name)
+                            seed=self.master_seed)
 
     @property
     def quality_bench_params(self) -> LayoutParams:
         """Stronger schedule used when layout quality (not speed) is measured."""
         return LayoutParams(iter_max=20, steps_per_step_unit=4.0,
-                            seed=self.master_seed, backend=self.backend_name)
+                            seed=self.master_seed)
 
     @property
     def smoke_params(self) -> LayoutParams:
         """Minimal schedule for the CI smoke gate (tiny graphs, seconds total)."""
         return LayoutParams(iter_max=6, steps_per_step_unit=1.5,
-                            seed=self.seed_for("params/smoke"),
-                            backend=self.backend_name)
+                            seed=self.seed_for("params/smoke"))
 
     @property
     def scale_params(self) -> LayoutParams:
@@ -103,8 +96,7 @@ class BenchContext:
         """
         return LayoutParams(iter_max=2, steps_per_step_unit=0.2,
                             simulated_threads=64,
-                            seed=self.seed_for("params/scale"),
-                            backend=self.backend_name)
+                            seed=self.seed_for("params/scale"))
 
     # --------------------------------------------------------------- datasets
     def _cached(self, key: str, build):

@@ -74,7 +74,7 @@ def _profile_case(case: BenchCase, ctx: BenchContext, directory: str) -> str:
     The artifact is a plain-text cumulative-time ranking (top
     :data:`_PROFILE_TOP` functions) — enough to see *where* a dispatch
     regression lives (per-batch sampler round trips, PRNG call loops,
-    backend seam crossings) straight from a CI artifact, without rerunning
+    per-segment merge calls) straight from a CI artifact, without rerunning
     anything locally — plus the profiled run's peak RSS
     (:class:`repro.memtrack.PeakTracker`), so a memory blow-up shows in the
     same forensics file as the time ranking.
@@ -144,7 +144,6 @@ def run_suite(
     registry: Optional[BenchRegistry] = None,
     echo: Callable[[str], None] = print,
     show_tables: bool = False,
-    backend: Optional[str] = None,
     profile: bool = False,
 ) -> Dict:
     """Run every case of ``suite`` and return (and optionally write) results.
@@ -164,9 +163,9 @@ def run_suite(
     if not cases:
         raise SuiteRunError(f"suite {suite!r} resolved to zero cases")
 
-    ctx = BenchContext(master_seed=master_seed, backend=backend)
+    ctx = BenchContext(master_seed=master_seed)
     echo(f"bench run: suite={suite} cases={len(cases)} master_seed={master_seed} "
-         f"warmup={warmup} repeats={repeats} backend={ctx.backend_name}")
+         f"warmup={warmup} repeats={repeats}")
     profile_dir = None
     if profile:
         profile_dir = profile_dir_for(out_path if out_path
@@ -213,11 +212,7 @@ def run_suite(
         "suite": suite,
         "master_seed": master_seed,
         "environment": environment_fingerprint(),
-        # ``backend`` is runner metadata, not part of the timing-environment
-        # fingerprint: documents produced before the key existed still
-        # compare cleanly against new ones.
-        "runner": {"warmup": warmup, "repeats": repeats,
-                   "backend": ctx.backend_name},
+        "runner": {"warmup": warmup, "repeats": repeats},
         "cases": case_docs,
     }
     echo(f"suite {suite!r} complete in {time.perf_counter() - suite_t0:.2f}s: "

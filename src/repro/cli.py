@@ -33,9 +33,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .backend import backend_names
 from .core import GpuKernelConfig, layout_graph
-from .core.params import warn_fused_deprecated
+from .core.params import MERGE_POLICIES
 from .graph import LeanGraph, parse_gfa, validate_lean
 from .io import write_lay, write_tsv
 from .metrics import sampled_path_stress
@@ -82,17 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "given to the coarser levels at each boundary "
                              "(default 0.5; only used with --levels > 1)")
     parser.add_argument("--merge-policy", default="hogwild",
-                        choices=["hogwild", "accumulate", "last_writer"],
+                        choices=list(MERGE_POLICIES),
                         help="write-merge policy for colliding in-batch "
                              "updates (default: hogwild)")
-    parser.add_argument("--backend", default=None, choices=list(backend_names()),
-                        help="array backend for the update hot path (default: "
-                             "$REPRO_BACKEND or numpy; unavailable backends "
-                             "fail fast with the recorded reason)")
-    parser.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="deprecated, no effect: every run takes the "
-                             "fused iteration")
+    parser.add_argument("--backend", default=None, choices=["numpy"],
+                        help="execution backend; numpy, the only one, is "
+                             "the default")
     parser.add_argument("--simulated-threads", dest="simulated_threads",
                         type=int, default=1,
                         help="emulated Hogwild thread count for the CPU "
@@ -118,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "('64MB'): the iteration's batch plan is split "
                              "into budget-sized segment chunks dispatched in "
                              "order; layouts are byte-identical to the "
-                             "unbudgeted run on the numpy backend (workers "
-                             "split the budget evenly; default: no budget, "
-                             "one dispatch per iteration)")
+                             "unbudgeted run (workers split the budget "
+                             "evenly; default: no budget, one dispatch per "
+                             "iteration)")
     parser.add_argument("--trace", default=None, metavar="OUT.JSONL",
                         help="record the run's span trace (schema-versioned "
                              "JSONL; one merged, ordered file even for "
@@ -178,13 +172,10 @@ def layout_main(argv: Optional[Sequence[str]] = None) -> int:
         report.raise_if_invalid()
 
     engine = args.engine or ("gpu" if args.gpu else "cpu")
-    from .backend import resolve_backend_name
-
     multilevel_note = f", levels={args.levels}" if args.levels > 1 else ""
     workers_note = f", workers={args.workers}" if args.workers > 1 else ""
     print(f"laying out {source_name}: {graph.n_nodes} nodes, {graph.n_paths} paths, "
-          f"{graph.total_steps} steps, engine={engine}, "
-          f"backend={resolve_backend_name(args.backend)}"
+          f"{graph.total_steps} steps, engine={engine}"
           f"{multilevel_note}{workers_note}, merge={args.merge_policy}")
     # One run path for CLI, quickstart and examples: layout_graph with
     # per-call param overrides (unknown names raise before any work starts).
@@ -201,7 +192,6 @@ def layout_main(argv: Optional[Sequence[str]] = None) -> int:
         on_worker_failure=args.on_worker_failure,
         backend=args.backend,
         merge_policy=args.merge_policy,
-        fused=args.fused,
         memory_budget=args.memory_budget,
         levels=args.levels,
         level_iter_split=args.level_split,
@@ -262,13 +252,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--repeats", type=int, default=1,
                        help="measured runs per case; >=2 also verifies metric "
                             "determinism (default: 1)")
-    run_p.add_argument("--backend", default=None, choices=list(backend_names()),
-                       help="array backend threaded through every case's layout "
-                            "params (default: $REPRO_BACKEND or numpy)")
-    run_p.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="deprecated, no effect: every run takes the "
-                            "fused iteration")
     run_p.add_argument("--out", default=None,
                        help="output path (default: BENCH_<suite>.json in the CWD)")
     run_p.add_argument("--tables", action="store_true",
@@ -298,7 +281,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
 
 def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro bench`` entry point; returns the process exit code."""
-    from .backend import BackendUnavailable
     from .bench.compare import compare_files, parse_threshold
     from .bench.registry import BenchError, load_builtin_cases
     from .bench.runner import SuiteRunError, run_suite
@@ -308,8 +290,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_bench_parser().parse_args(argv)
     try:
         if args.bench_command == "run":
-            if args.fused is not None:
-                warn_fused_deprecated()
             run_suite(
                 args.suite,
                 master_seed=args.seed,
@@ -317,7 +297,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
                 repeats=args.repeats,
                 out_path=args.out,
                 show_tables=args.tables,
-                backend=args.backend,
                 profile=args.profile,
             )
             return 0
@@ -338,8 +317,8 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
     except BrokenPipeError:
         return 0
-    except (BenchError, SuiteRunError, SchemaError, BackendUnavailable,
-            ValueError, OSError) as exc:
+    except (BenchError, SuiteRunError, SchemaError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

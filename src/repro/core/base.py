@@ -7,7 +7,8 @@ iteration take the scheduled learning rate, advance the run by one
 iteration, and account it. An engine supplies only its :meth:`session`:
 the set-up before the first iteration, the per-iteration step, and the
 tear-down after the last. Every step bottoms out in :func:`step_units`,
-one megablock draw and one ``backend.run_iteration`` per chunk. The
+one megablock draw and one ``backend.run_iteration`` per chunk, on the one
+execution backend (:data:`~repro.backend.NUMPY_BACKEND`). The
 engines differ in batch granularity (their batch plan), in how randomness
 is organised (per thread / per warp / per worker, their
 :class:`~repro.core.selection.DrawRecipe`), and in which hardware counters
@@ -21,7 +22,7 @@ from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
                     Optional, Tuple)
 
 
-from ..backend import ArrayBackend, get_backend
+from ..backend import NUMPY_BACKEND, NumpyBackend
 from ..graph.lean import LeanGraph
 from ..graph.path_index import PathIndex
 from ..memtrack import PeakTracker
@@ -74,7 +75,7 @@ def split_into_batches(total: int, chunk: int) -> List[int]:
 Unit = Tuple[Xoshiro256Plus, List[FusedIterationPlan]]
 
 
-def step_units(units: List[Unit], backend: ArrayBackend, coords, eta: float,
+def step_units(units: List[Unit], backend: NumpyBackend, coords, eta: float,
                iteration: int, tracer: Tracer, t0: float) -> "StepStats":
     """Advance every unit by one fused iteration, chunk by chunk, in order.
 
@@ -247,9 +248,7 @@ class LayoutEngine:
     def __init__(self, graph: LeanGraph, params: Optional[LayoutParams] = None):
         self.graph = graph
         self.params = params if params is not None else LayoutParams()
-        # Resolved once per engine: params.backend -> REPRO_BACKEND -> numpy.
-        # An unavailable backend fails here, before any work is done.
-        self.backend: ArrayBackend = get_backend(self.params.backend)
+        self.backend: NumpyBackend = NUMPY_BACKEND
         self.index = PathIndex(graph)
         self.sampler = PairSampler(graph, self.params, self.index)
         self.schedule = make_schedule(graph, self.params)
@@ -282,9 +281,8 @@ class LayoutEngine:
 
     def make_workspace(self, plan: List[int]) -> UpdateWorkspace:
         """Per-run scratch buffers sized to the largest segment of ``plan``
-        as data reuse expands it, on the engine's backend."""
-        return UpdateWorkspace(max(plan) * self.recipe.reuse if plan else 1,
-                               backend=self.backend)
+        as data reuse expands it."""
+        return UpdateWorkspace(max(plan) * self.recipe.reuse if plan else 1)
 
     # ------------------------------------------------------------------ run
     def run(self, initial: Optional[Layout] = None) -> LayoutResult:
@@ -372,13 +370,8 @@ class LayoutEngine:
         tracer = self.tracer
         trace = tracer.enabled
         params = self.params
-        # Coordinate state lives in the backend's memory space for the whole
-        # run: one upload here, one download at the end (both identities on
-        # host backends, where ``coords`` *is* ``layout.coords``).
-        t_up = tracer.now() if trace else 0.0
-        coords = self.backend.from_host(layout.coords)
-        if trace:
-            tracer.emit("transfer", t_up, tracer.now() - t_up)
+        # Every iteration updates the layout's own coordinate array in place.
+        coords = layout.coords
         t_sched = tracer.now() if trace else 0.0
         rng = self.make_rng()
         steps_per_iter = params.steps_per_iteration(self.graph.total_steps)
@@ -395,13 +388,13 @@ class LayoutEngine:
         # It starts before the plans are built, so it counts their shared
         # draws buffer with the per-iteration transients.
         mem = PeakTracker(trace=None).start()
-        # The whole iteration — selection, displacement, merge — runs below
-        # the backend seam over pre-drawn uniform megablocks
-        # (repro.core.fused). Without a memory budget that is one plan
-        # covering the whole batch plan (one dispatch per iteration); with
-        # params.memory_budget the plan is split into contiguous segment
-        # chunks dispatched in order, bounding the per-dispatch transient
-        # footprint while staying byte-identical on the NumPy backend.
+        # The whole iteration — selection, displacement, merge — is one
+        # backend call over pre-drawn uniform megablocks (repro.core.fused).
+        # Without a memory budget that is one plan covering the whole batch
+        # plan (one dispatch per iteration); with params.memory_budget the
+        # plan is split into contiguous segment chunks dispatched in order,
+        # bounding the per-dispatch transient footprint while staying
+        # byte-identical.
         units = [(rng, build_iteration_plans(
             sampler=self.sampler,
             workspace=workspace,
@@ -423,15 +416,10 @@ class LayoutEngine:
         if trace:
             tracer.emit("schedule", t_sched, tracer.now() - t_sched)
         yield Session(step, workers=params.workers)
-        self.backend.synchronize()
         mem.stop()
         for key, value in mem.as_counters().items():
             self.max_counter(key, value)
-        t_down = tracer.now() if trace else 0.0
-        layout.coords = self.backend.to_host(coords)
         layout.data_layout = self.data_layout()
-        if trace:
-            tracer.emit("transfer", t_down, tracer.now() - t_down)
 
     # -------------------------------------------------------------- helpers
     def merge_policy(self) -> str:

@@ -3,15 +3,16 @@
 The paper's headline speedup comes from running an entire SGD iteration as a
 *single* CUDA kernel launch (Sec. V; Table IV counts the launches), where the
 batched tensor formulation pays per-batch launch overhead. The Python
-analogue of that overhead is interpreter dispatch, so every engine runs its
-iterations below the backend seam:
+analogue of that overhead is interpreter dispatch, so every engine runs each
+iteration as one call:
 
 1. the engine pre-draws the iteration's full term budget as one uniform
    megablock (:meth:`~repro.prng.xoshiro.Xoshiro256Plus.next_double_block`),
 2. hands it — plus this :class:`FusedIterationPlan` — to
-   :meth:`~repro.backend.base.ArrayBackend.run_iteration`, one call per
-   iteration, which performs selection + displacement + merge for every
-   planned batch segment internally, and
+   :meth:`~repro.backend.NumpyBackend.run_iteration`
+   (:func:`run_iteration_host`), one call per iteration, which performs
+   selection + displacement + merge for every planned batch segment
+   internally, and
 3. receives aggregate :class:`FusedIterationStats` back.
 
 The plan's :class:`~repro.core.selection.DrawRecipe` fixes what each
@@ -25,8 +26,8 @@ segment's start, and the write merge per segment is the hogwild/accumulate/
 last_writer scatter. Runs of equal-size segments are merged as blocks
 (:func:`block_plan`): the work that reads no coordinate is computed once per
 block, and the coordinate work still runs segment by segment in plan order,
-so blocks change no value. On the NumPy backend that coordinate work is one
-compiled call per block, and the megablock one compiled draw, whenever
+so blocks change no value. That coordinate work is one compiled call per
+block, and the megablock one compiled draw, whenever
 :mod:`repro.backend.cext` loads; both give NumPy's bits. Under data reuse
 the blocks are built over the expanded segments.
 
@@ -41,7 +42,7 @@ boundaries are segment boundaries and the bulk PRNG draw is
 interchangeable mid-stream, so drawing and dispatching the chunks in plan
 order consumes identical stream state and executes the identical
 per-segment computation — budgeted layouts are byte-identical to
-unbudgeted ones on the NumPy backend, for every budget.
+unbudgeted ones, for every budget.
 """
 from __future__ import annotations
 
@@ -234,7 +235,7 @@ def build_iteration_plans(sampler: PairSampler, workspace: UpdateWorkspace,
     dispatch per chunk. The bulk draw is interchangeable mid-stream (see
     ``next_double_block``), so the sequential per-chunk draws consume
     exactly the stream state one whole-iteration draw would have — chunked
-    execution is byte-identical to unchunked on the NumPy backend.
+    execution is byte-identical to unchunked.
 
     Every chunk draws by ``recipe``; ``probe`` goes to the first chunk.
     """
@@ -266,7 +267,8 @@ class FusedIterationStats:
 
 @dataclass
 class FusedIterationPlan:
-    """Everything a backend needs to run whole iterations without the engine.
+    """Everything ``run_iteration`` needs to run whole iterations without the
+    engine.
 
     Built once per :meth:`LayoutEngine.run` (one per budget chunk) and
     passed to every ``backend.run_iteration`` call of the run.
@@ -377,12 +379,12 @@ def draw_segment(sampler: PairSampler, rng, size: int, iteration: int,
                                 iteration, recipe)
 
 
-def run_iteration_host(backend, plan: FusedIterationPlan, coords,
+def run_iteration_host(plan: FusedIterationPlan, coords,
                        uniforms: np.ndarray, eta: float,
                        iteration: int) -> FusedIterationStats:
-    """Generic fused iteration: host selection, merges through ``backend``.
+    """One fused iteration chunk: host selection, then the block merges.
 
-    The reference implementation of the ``run_iteration`` contract, split
+    The body of :meth:`~repro.backend.NumpyBackend.run_iteration`, split
     the way the data dependencies allow:
 
     * **selection is batch-free** — a term's identity depends only on its
@@ -428,8 +430,7 @@ def run_iteration_host(backend, plan: FusedIterationPlan, coords,
                                     plan.merge, plan.workspace, segments)
         offset = end
         if plan.probe and stress is None:
-            stress = batch_stress(coords, terms.slice(0, size),
-                                  backend=backend)
+            stress = batch_stress(coords, terms.slice(0, size))
     if trace:
         tracer.emit("merge", t_mrg, tracer.now() - t_mrg, iteration,
                     count=len(plan.plan))

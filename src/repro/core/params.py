@@ -17,8 +17,12 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
-__all__ = ["LayoutParams", "parse_memory_budget", "replace_params",
-           "warn_fused_deprecated"]
+__all__ = ["MERGE_POLICIES", "LayoutParams", "parse_memory_budget",
+           "replace_params", "warn_fused_deprecated"]
+
+#: The write-merge policies for colliding in-batch updates
+#: (:mod:`repro.core.updates`), in the order the CLI lists them.
+MERGE_POLICIES = ("hogwild", "accumulate", "last_writer")
 
 #: Binary size-suffix multipliers accepted by :func:`parse_memory_budget`.
 #: ``KB``/``KiB``/``K`` are synonyms (1024 bytes), and so on through ``T``.
@@ -72,8 +76,7 @@ def parse_memory_budget(value: Union[int, str, None]) -> Optional[int]:
 
 
 def warn_fused_deprecated() -> None:
-    """Warn that the ``fused`` option (``LayoutParams.fused``, ``--fused``/
-    ``--no-fused``) is deprecated and changes nothing."""
+    """Warn that ``LayoutParams.fused`` is deprecated and changes nothing."""
     warnings.warn(
         "the fused option is deprecated and has no effect: every run takes "
         "the fused iteration", FutureWarning, stacklevel=2)
@@ -146,17 +149,16 @@ class LayoutParams:
     ``accumulate`` / ``last_writer``; see :mod:`repro.core.updates`)."""
 
     backend: Optional[str] = None
-    """Execution backend name (see :mod:`repro.backend`). ``None`` resolves
-    via the ``REPRO_BACKEND`` environment variable, then ``"numpy"``; the
-    name is validated when the engine is constructed, so an unavailable
-    backend fails fast with the recorded reason."""
+    """Execution backend name: ``"numpy"``, the one backend
+    (:mod:`repro.backend`), or ``None``, which means the same. Any other
+    name raises ``ValueError`` here."""
 
     fused: Optional[bool] = None
     """Deprecated; has no effect. Every engine runs each iteration as one
     fused backend dispatch per chunk (:mod:`repro.core.fused`); there is no
     per-batch loop left to select. An explicit ``True`` or ``False`` warns
-    (:func:`warn_fused_deprecated`); the field goes after one deprecation
-    cycle."""
+    (:func:`warn_fused_deprecated`). The field stays while the repository
+    benchmark's workload params still name it."""
 
     memory_budget: Optional[Union[int, str]] = None
     """Soft ceiling, in bytes, on the fused path's per-iteration transient
@@ -166,7 +168,7 @@ class LayoutParams:
     split each iteration's batch plan into contiguous segment *chunks* sized
     to fit (:func:`repro.core.fused.chunk_spans`) and dispatch once per
     chunk; chunk boundaries are segment boundaries, so layouts stay
-    byte-identical on the NumPy backend for every budget. Accepts an ``int``
+    byte-identical for every budget. Accepts an ``int``
     byte count or a size string (``"64MB"``), normalised to bytes by
     :func:`parse_memory_budget` at construction."""
 
@@ -189,8 +191,8 @@ class LayoutParams:
     """Path of a JSONL run-trace file (:mod:`repro.obs`). ``None`` (the
     default) disables tracing entirely — engines hold the null tracer and
     the hot path pays one branch per guarded site. A path makes the run
-    record phase-attributed spans (schedule/selection/dispatch/merge/
-    transfer/...) and write them, schema-versioned, at the end of ``run()``;
+    record phase-attributed spans (schedule/selection/dispatch/merge/...)
+    and write them, schema-versioned, at the end of ``run()``;
     shm workers send their spans with each iteration's reply, and the
     parent merges the per-worker streams into the one file. Tracing never
     touches coordinates or PRNG draw order, so traced layouts are
@@ -220,12 +222,12 @@ class LayoutParams:
                 "on_worker_failure must be 'fail', 'degrade' or 'restart'")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.merge_policy not in ("hogwild", "accumulate", "last_writer"):
+        if self.merge_policy not in MERGE_POLICIES:
             raise ValueError(
                 "merge_policy must be 'hogwild', 'accumulate' or 'last_writer'")
-        if self.backend is not None and (not isinstance(self.backend, str)
-                                         or not self.backend):
-            raise ValueError("backend must be None or a non-empty backend name")
+        if self.backend not in (None, "numpy"):
+            raise ValueError(
+                f"backend must be None or 'numpy', got {self.backend!r}")
         if self.fused is not None and not isinstance(self.fused, bool):
             raise ValueError("fused must be None, True or False")
         if self.fused is not None:

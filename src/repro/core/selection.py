@@ -14,9 +14,9 @@ The paper identifies this randomness as both essential for quality
 accesses. All selection here is vectorised over a batch of steps, driven by
 any of the multi-stream PRNGs in :mod:`repro.prng`.
 
-Selection runs on host NumPy, where the PRNG streams produce their draws;
-the selected :class:`StepBatch` is host-resident and the update kernels
-coerce it into their backend's namespace.
+Selection runs on host NumPy, where the PRNG streams produce their draws,
+and the update kernels read the selected :class:`StepBatch` arrays as they
+are.
 A :class:`DrawRecipe` says what one plan segment draws and how its terms
 are selected; :meth:`PairSampler.select_chunk` selects a chunk at once.
 """

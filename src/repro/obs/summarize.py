@@ -2,7 +2,7 @@
 
 The interpreter analogue of the paper's Table IV kernel breakdown: given a
 trace file, attribute recorded time to phases (selection, merge, dispatch,
-transfer, ...) and render where a run actually spent itself — the question
+schedule, ...) and render where a run actually spent itself — the question
 every perf regression investigation starts with. ``compare`` diffs two
 traces phase by phase, the reading-a-trace counterpart of
 ``repro bench compare``.

@@ -1,7 +1,7 @@
 """Structured run tracing: phase-attributed spans with a near-zero off path.
 
 The paper's analysis (Sec. V, Tables II/IV/VII) attributes runtime to
-phases — selection, displacement/merge, transfer — and this module is the
+phases — selection, displacement/merge — and this module is the
 interpreter-side analogue: engines emit one :class:`TraceEvent` per phase
 per iteration (aggregated over batches/chunks, so event volume is
 O(iterations), never O(terms)), and ``repro trace summarize`` renders the
@@ -12,8 +12,6 @@ workers too, whose spans reach the parent as :class:`TraceEvent` objects):
 
 ``schedule``
     Per-run setup: plan/workspace/fused-plan construction, worker spawn.
-``transfer``
-    Host/device coordinate movement (one event per direction per run).
 ``draw``
     Per-iteration PRNG megablock draws (fused path), aggregated over chunks.
 ``dispatch``
@@ -49,7 +47,7 @@ __all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "event_structure"]
 class TraceEvent:
     """One recorded span: a named phase with a start time and a duration.
 
-    ``iteration`` is ``-1`` for per-run events (setup, transfers);
+    ``iteration`` is ``-1`` for per-run events (setup);
     ``count`` carries the phase's work-unit count (chunks dispatched, terms
     selected, segments merged — see the taxonomy above). ``labels`` is the
     emitting tracer's label set (engine/backend/level/worker) and is shared,

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
 from ..core.params import LayoutParams
 from ..core.selection import PairSampler
 from ..core.updates import compact_points
@@ -63,26 +62,23 @@ def measure_collisions(
     n_batches: int = 16,
     params: Optional[LayoutParams] = None,
     seed: int = 0,
-    backend: Optional[ArrayBackend] = None,
 ) -> CollisionReport:
     """Empirically measure endpoint collisions among ``concurrency`` in-flight terms."""
     params = params or LayoutParams()
-    be = backend if backend is not None else get_backend(params.backend)
     sampler = PairSampler(graph, params)
     rng = Xoshiro256Plus(seed, n_streams=min(concurrency, 1024))
     fractions = []
     for b in range(n_batches):
         batch = sampler.sample(rng, concurrency, iteration=0)
-        points = np.concatenate([  # xp-ok: batch index arrays are host-resident by the sampler contract
+        points = np.concatenate([
             2 * batch.node_i + batch.vis_i,
             2 * batch.node_j + batch.vis_j,
         ])
         # Same touched-point compaction the update hot path uses.
-        _, _, counts = compact_points(points, backend=be)
-        counts = be.to_host(counts)
+        _, _, counts = compact_points(points)
         colliding_points = counts[counts > 1].sum()
         fractions.append(colliding_points / points.size)
-    fractions_arr = np.asarray(fractions)  # xp-ok: reduces a Python list of host floats
+    fractions_arr = np.asarray(fractions)
     return CollisionReport(
         concurrency=concurrency,
         n_batches=n_batches,

@@ -4,7 +4,7 @@ This is the *measured* realisation of the race that
 :mod:`repro.parallel.hogwild` models and the CPU-baseline engine emulates:
 the coordinate array lives in one ``multiprocessing.shared_memory`` segment,
 ``params.workers`` OS processes each run the fused per-iteration path
-(:meth:`~repro.backend.base.ArrayBackend.run_iteration`) over a disjoint
+(:meth:`~repro.backend.NumpyBackend.run_iteration`) over a disjoint
 contiguous slice of the iteration's batch plan
 (:func:`~repro.core.fused.slice_plan`), and every worker scatters its merged
 deltas straight into the shared buffer — no locks, last-store-wins at the
@@ -22,7 +22,7 @@ Worker ``0`` draws from *the same* Xoshiro256+ streams the flat
 the test-suite:
 
 * ``workers=1`` runs the full plan on the base streams — **byte-identical**
-  to the flat engine on the NumPy backend;
+  to the flat engine;
 * ``workers=N`` draws are decorrelated across workers and fully determined
   by ``params.seed`` — only the store interleaving is racy, never the
   sampled terms.
@@ -82,6 +82,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..backend import NUMPY_BACKEND
 from ..core.base import LayoutResult, Session, StepStats, Unit, step_units
 from ..core.cpu_baseline import CpuBaselineEngine
 from ..core.fused import build_iteration_plans, slice_plan
@@ -271,8 +272,7 @@ def _selection_arrays_payload(arrays: SelectionArrays) -> Dict[str, np.ndarray]:
 
 
 def _build_unit(plan: List[int], state: np.ndarray, sampler: PairSampler,
-                params: LayoutParams, share: Optional[int], tracer,
-                backend) -> Unit:
+                params: LayoutParams, share: Optional[int], tracer) -> Unit:
     """One execution unit: a generator plus its chunked iteration plans.
 
     A worker starts with a single unit (its contractual sub-plan) and gains
@@ -281,7 +281,7 @@ def _build_unit(plan: List[int], state: np.ndarray, sampler: PairSampler,
     chunking under the same per-worker budget share.
     """
     rng = Xoshiro256Plus(state)
-    workspace = UpdateWorkspace(max(plan), backend=backend)
+    workspace = UpdateWorkspace(max(plan))
     plans = build_iteration_plans(
         sampler=sampler, workspace=workspace, merge=params.merge_policy,
         plan=plan, n_streams=rng.n_streams, memory_budget=share,
@@ -309,14 +309,11 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
     :class:`~repro.parallel.faults.FaultPlan` fires at setup
     (``iteration=-1``) and at the top of each iteration body.
     """
-    from ..backend import get_backend
-
     faults = resolve_fault_plan(fault_plan)
     block = SharedArrayBlock.attach(shm_name, manifest)
     try:
         if faults:
             faults.fire(worker_id, -1)
-        backend = get_backend(params.backend)
         coords = block.view("coords")
         arrays = SelectionArrays(
             *(block.view(f"sel/{field}") for field in SelectionArrays._fields))
@@ -332,7 +329,7 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
         # spawn arg — every worker computes the same figure.
         share = budget_share(params.memory_budget, params.workers)
         units = [_build_unit(sub_plan, stream_state, sampler, params, share,
-                             tracer, backend)]
+                             tracer)]
         conn.send(("ready", worker_id, len(units[0][1])))
         while True:
             msg = conn.recv()  # robust-ok: worker side of the pipe; parent liveness is the supervisor's concern, and a dead parent collapses this daemon anyway
@@ -341,14 +338,14 @@ def _worker_main(worker_id: int, shm_name: str, manifest: Manifest,
             if msg[0] == "extend":
                 _, extra_plan, extra_state = msg
                 units.append(_build_unit(extra_plan, extra_state, sampler,
-                                         params, share, tracer, backend))
+                                         params, share, tracer))
                 conn.send(("extended", worker_id, len(units[-1][1])))
                 continue
             _, iteration, eta = msg
             if faults:
                 faults.fire(worker_id, iteration)
             t_iter = tracer.now() if trace else 0.0
-            stats = step_units(units, backend, coords, eta, iteration,
+            stats = step_units(units, NUMPY_BACKEND, coords, eta, iteration,
                                tracer, t_iter)
             if trace:
                 tracer.emit("iteration", t_iter, tracer.now() - t_iter,
@@ -382,8 +379,8 @@ class ShmHogwildEngine(CpuBaselineEngine):
     constructor knobs (timeouts, restart backoff, ``fault_plan``) exist for
     the chaos suite; production runs take the defaults.
 
-    Requires a host-resident backend (the shared mapping *is* the coordinate
-    state).
+    The workers update the shared mapping in place: it *is* the coordinate
+    state.
     """
 
     name = "shm-hogwild"
@@ -404,11 +401,6 @@ class ShmHogwildEngine(CpuBaselineEngine):
         self.join_timeout = join_timeout
         self.max_restarts = max_restarts
         self.restart_backoff = restart_backoff
-        probe = np.zeros(1)
-        if self.backend.from_host(probe) is not probe:
-            raise ValueError(
-                f"backend {self.backend.name!r} is not host-resident; the "
-                "shared-memory engine needs coordinates mapped in host RAM")
 
     # ------------------------------------------------------------- helpers
     def _worker_plans(self) -> Tuple[List[List[int]], List[np.ndarray]]:
@@ -581,7 +573,7 @@ class _InlineRun(ShmHogwildEngine):
         params = self.params
         t_sched = tracer.now() if trace else 0.0
         sub_plans, states = self._worker_plans()
-        coords = self.backend.from_host(layout.coords)
+        coords = layout.coords
         # Per-worker tracer views share the parent's event list but carry a
         # ``worker=N`` label — the inline analogue of the process path's
         # per-worker streams, with no merge step needed.
@@ -590,7 +582,7 @@ class _InlineRun(ShmHogwildEngine):
         # sub-plan chunked under its share of the run's memory budget.
         share = budget_share(params.memory_budget, params.workers)
         units = [_build_unit(sub_plan, state, self.sampler, params, share,
-                             wtracer, self.backend)
+                             wtracer)
                  for sub_plan, state, wtracer in zip(sub_plans, states,
                                                      wtracers)]
         total_chunks = sum(len(plans) for _, plans in units)

@@ -27,6 +27,13 @@ _SHIFT2 = np.uint64(27)
 _SHIFT3 = np.uint64(31)
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function of an advanced state."""
+    z = (z ^ (z >> _SHIFT1)) * _MIX1
+    z = (z ^ (z >> _SHIFT2)) * _MIX2
+    return z ^ (z >> _SHIFT3)
+
+
 def splitmix64_next(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance an array of SplitMix64 states by one step.
 
@@ -44,11 +51,7 @@ def splitmix64_next(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state = np.asarray(state, dtype=np.uint64)
     with np.errstate(over="ignore"):
         new_state = state + _GOLDEN
-        z = new_state.copy()
-        z = (z ^ (z >> _SHIFT1)) * _MIX1
-        z = (z ^ (z >> _SHIFT2)) * _MIX2
-        z = z ^ (z >> _SHIFT3)
-    return new_state, z
+        return new_state, _mix(new_state)
 
 
 class SplitMix64:
@@ -111,6 +114,10 @@ def expand_streams(sm: SplitMix64, n_streams: int,
     the same generator yield exactly the tail slices that one big
     :func:`seed_streams` call over the running total would — prefix
     stability without regenerating the prefix.
+
+    Step ``k`` (from 1) of a stream at state ``s`` outputs the mix of
+    ``s + k·γ`` mod 2^64, so every word comes from one array pass rather
+    than one NumPy call per word.
     """
     if n_streams <= 0:
         raise ValueError("n_streams must be positive")
@@ -119,9 +126,10 @@ def expand_streams(sm: SplitMix64, n_streams: int,
     if sm.n_streams != 1:
         raise ValueError("expand_streams needs a single-stream SplitMix64")
     total = n_streams * words_per_stream
-    words = np.empty(total, dtype=np.uint64)
-    for i in range(total):
-        words[i] = sm.next_uint64()[0]
+    with np.errstate(over="ignore"):
+        states = sm.state + np.arange(1, total + 1, dtype=np.uint64) * _GOLDEN
+        words = _mix(states)
+    sm.state = states[-1:].copy()
     words[words == 0] = _ZERO_REMAP
     return words.reshape(n_streams, words_per_stream)
 

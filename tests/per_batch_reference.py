@@ -60,7 +60,7 @@ def _stock_on_batch(self, batch: StepBatch, iteration: int, batch_index: int) ->
 
 
 def _stock_make_workspace(self, plan: List[int]) -> UpdateWorkspace:
-    return UpdateWorkspace(max(plan) if plan else 1, backend=self.backend)
+    return UpdateWorkspace(max(plan) if plan else 1)
 
 
 def _gpu_make_workspace(self, plan: List[int]) -> UpdateWorkspace:
@@ -68,8 +68,7 @@ def _gpu_make_workspace(self, plan: List[int]) -> UpdateWorkspace:
     # on_batch, so the scratch buffers are pre-sized to the expanded
     # batches instead of growing on the first wave.
     base = max(plan) if plan else 1
-    return UpdateWorkspace(base * self.config.data_reuse_factor,
-                           backend=self.backend)
+    return UpdateWorkspace(base * self.config.data_reuse_factor)
 
 
 def _gpu_draw_batch(
@@ -238,7 +237,7 @@ class PerBatchRun:
         )
         history: List[IterationRecord] = []
         total_terms = 0
-        coords = self.backend.from_host(layout.coords)
+        coords = layout.coords
         rng = self.make_rng()
         steps_per_iter = params.steps_per_iteration(self.graph.total_steps)
         plan = self.batch_plan(steps_per_iter)
@@ -259,8 +258,7 @@ class PerBatchRun:
                 n_collisions += stats.n_point_collisions
                 n_terms += stats.n_terms
                 if params.record_history and batch_index == 0:
-                    stress = batch_stress(coords, batch,
-                                          backend=self.backend)
+                    stress = batch_stress(coords, batch)
             total_terms += n_terms
             self.add_counter("update_dispatches", float(len(plan)))
             self.add_counter("point_collisions", float(n_collisions))
@@ -272,8 +270,6 @@ class PerBatchRun:
                     n_terms=n_terms,
                     n_collisions=n_collisions,
                 ))
-        self.backend.synchronize()
-        layout.coords = self.backend.to_host(coords)
         layout.data_layout = self.data_layout()
         return LayoutResult(
             layout=layout,

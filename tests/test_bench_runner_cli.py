@@ -40,7 +40,7 @@ class TestRunner:
         assert case["wall_time"]["repeats"] == 3
         assert len(case["wall_time"]["times_s"]) == 3
         assert case["metrics"]["modelled_s"]["direction"] == "lower"
-        assert doc["runner"] == {"warmup": 1, "repeats": 3, "backend": "numpy"}
+        assert doc["runner"] == {"warmup": 1, "repeats": 3}
 
     def test_master_seed_recorded(self, toy_registry):
         doc = run_suite("smoke", registry=toy_registry, master_seed=42,
@@ -190,49 +190,39 @@ class TestBenchCli:
                   "--merge-policy", "banana"])
 
     def test_layout_rejects_retired_backend(self, capsys):
-        """A backend name the registry no longer holds is a usage error."""
+        """Any backend name but numpy is a usage error."""
+        for name in ("numba", "cupy"):
+            with pytest.raises(SystemExit) as exc:
+                main(["layout", "--dataset", "HLA-DRB1", "--backend", name])
+            assert exc.value.code == 2
+            assert "--backend: invalid choice" in capsys.readouterr().err
+
+    def test_layout_backend_numpy_is_the_default_run(self, tmp_path):
+        """``--backend numpy`` (the repository benchmark passes it) runs the
+        default layout, byte for byte."""
+        blobs = []
+        for extra in ([], ["--backend", "numpy"]):
+            out = tmp_path / f"run{len(blobs)}.lay"
+            assert main(["layout", "--dataset", "HLA-DRB1", "--scale", "0.05",
+                         "--iter-max", "2", "--steps-factor", "1.0",
+                         "--out-lay", str(out), *extra]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_bench_run_has_no_backend_flag(self):
         with pytest.raises(SystemExit) as exc:
-            main(["layout", "--dataset", "HLA-DRB1", "--backend", "numba"])
+            main(["bench", "run", "--suite", "smoke", "--backend", "numpy"])
         assert exc.value.code == 2
-        assert "--backend: invalid choice" in capsys.readouterr().err
 
-    def test_layout_fused_flags_parse_and_run(self, tmp_path, capsys):
-        """--fused / --no-fused still parse, warn, and change no layout."""
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["--dataset", "HLA-DRB1"]).fused is None
-        assert parser.parse_args(["--dataset", "HLA-DRB1",
-                                  "--fused"]).fused is True
-        assert parser.parse_args(["--dataset", "HLA-DRB1",
-                                  "--no-fused"]).fused is False
-        blobs = {}
-        for flag in ("--fused", "--no-fused"):
-            out = tmp_path / f"{flag.strip('-')}.lay"
-            with pytest.warns(FutureWarning, match="fused option"):
-                assert main(["layout", "--dataset", "HLA-DRB1", "--scale",
-                             "0.05", "--iter-max", "2", "--steps-factor",
-                             "1.0", flag, "--out-lay", str(out)]) == 0
-            blobs[flag] = out.read_bytes()
-        out = tmp_path / "plain.lay"
-        assert main(["layout", "--dataset", "HLA-DRB1", "--scale", "0.05",
-                     "--iter-max", "2", "--steps-factor", "1.0",
-                     "--out-lay", str(out)]) == 0
-        assert blobs["--fused"] == blobs["--no-fused"] == out.read_bytes()
-
-    def test_bench_run_fused_flag_is_a_deprecated_no_op(self, monkeypatch,
-                                                        tmp_path):
-        """--no-fused still parses, warns and reaches nothing."""
-        import repro.bench.runner as runner
-
-        seen = {}
-        monkeypatch.setattr(runner, "run_suite",
-                            lambda suite, **kwargs: seen.update(kwargs))
-        out = tmp_path / "unfused.json"
-        with pytest.warns(FutureWarning, match="fused option"):
-            assert main(["bench", "run", "--suite", "smoke", "--no-fused",
-                         "--out", str(out)]) == 0
-        assert "fused" not in seen and seen["out_path"] == str(out)
+    def test_fused_flags_are_gone(self, capsys):
+        """The retired --fused / --no-fused flags are usage errors on both
+        subcommands."""
+        for argv in (["layout", "--dataset", "HLA-DRB1", "--fused"],
+                     ["bench", "run", "--suite", "smoke", "--fused"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --fused" in capsys.readouterr().err
 
     def test_bench_run_profile_writes_per_case_artifacts(self, toy_registry,
                                                          tmp_path):

@@ -25,10 +25,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import cext
-from repro.backend.base import check_kernel
+from repro.backend.cext import check_kernel
 from repro.backend.numpy_backend import NumpyBackend
 from repro.core import StepBatch, UpdateWorkspace, merge_batch
 from repro.core.layout import Layout
+from repro.core.params import MERGE_POLICIES
 from repro.core.updates import merge_segments, prepare_block
 from repro.graph import LeanGraph
 from repro.metrics.stress import numpy_pair_stress_terms, pair_stress_terms
@@ -154,6 +155,12 @@ class TestBuild:
         monkeypatch.setattr(NumpyBackend, "rowwise_sqnorm", fused_sqnorm)
         reason = cext.load(cext.build(dirs=[tmp_path]))
         assert reason.startswith("self-test mismatch: merge_block")
+
+
+def test_merge_codes_name_every_merge_policy():
+    """``cext`` cannot import ``repro.core`` (``core`` imports ``cext``), so
+    its policy numbers are keyed by a copy of the policy list."""
+    assert set(cext.MERGE_CODES) == set(MERGE_POLICIES)
 
 
 def test_no_compiler_is_a_reason(monkeypatch, tmp_path):

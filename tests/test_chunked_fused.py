@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.core import CpuBaselineEngine, LayoutParams, SerialReferenceEngine
 from repro.core.fused import (
     FUSED_BYTES_PER_TERM,
@@ -231,7 +230,6 @@ class TestBuildIterationPlans:
             merge=engine.merge_policy(), plan=plan, n_streams=rng.n_streams,
             memory_budget=engine.params.memory_budget)
         assert len(chunks) > 1
-        backend = get_backend("numpy")
         coords = np.zeros((small_graph.n_nodes * 2, 2), dtype=np.float64)
         draws = chunks[0].draws
         widest = max(sum(c.plan) for c in chunks)
@@ -239,7 +237,7 @@ class TestBuildIterationPlans:
         assert widest < sum(plan)
         for chunk in chunks:
             block = rng.next_double_block(chunk.calls_per_iteration)
-            run_iteration_host(backend, chunk, coords, block, 0.05, 0)
+            run_iteration_host(chunk, coords, block, 0.05, 0)
             # No chunk swapped in a private copy of the draws block.
             assert chunk.draws is draws
 

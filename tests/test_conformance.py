@@ -1,36 +1,29 @@
-"""Cross-engine / cross-backend conformance matrix.
+"""Cross-engine conformance matrix.
 
-Ground truth is :class:`SerialReferenceEngine` on the NumPy reference
-backend: the exact term-at-a-time Alg. 1. Every registered backend must
-reproduce it — through every engine and every write-merge policy — within
-1e-9 (and bit-for-bit on the NumPy backend itself).
+Ground truth is :class:`SerialReferenceEngine`: the exact term-at-a-time
+Alg. 1. Every engine must reproduce it bit for bit, through every
+write-merge policy, when configured so its trajectory collapses to the
+serial algorithm (singleton batches, one PRNG stream — stream 0 of the
+multi-stream Xoshiro is invariant to the stream count, which is what makes
+this exact). Any deviation is an engine arithmetic bug, not a batching
+artefact.
 
-Two matrices:
+Around it:
 
-* **Serial-degenerate**: each engine configured so its trajectory collapses
-  to the serial algorithm (singleton batches, one PRNG stream — stream 0 of
-  the multi-stream Xoshiro is invariant to the stream count, which is what
-  makes this exact). Any deviation is a backend/engine arithmetic bug, not a
-  batching artefact.
-* **Cross-backend**: each engine in its *default* batched configuration run
-  on backend B vs the NumPy backend — real batches, real collisions, so the
-  merge kernels are exercised under load.
-
-plus a **fused axis** (``TestFusedConformance``): every engine × merge ×
-backend run through the fused per-iteration path vs both the serial
-reference and the per-batch loop it replaced
-(``tests/per_batch_reference.py``) — byte-identical on NumPy, ≤1e-9
-elsewhere, with counters proving every engine really fused. Its
-references (the per-batch loop, the unbudgeted run) always run on the
-NumPy fallback of the compiled merge and draw, so every engine × merge ×
-budget (None, 1, "64MB") compares the compiled path's coordinate bytes and
-``point_collisions`` with NumPy's; ``TestFusedConformanceOnFallback``
-repeats the axis with the fallback on both sides.
-
-A registered backend whose toolchain is absent skips cleanly with the
-registry's recorded reason. Registering a new backend makes
-it appear in these matrices with no test changes — passing this module is
-the acceptance bar for any future backend PR (see ROADMAP).
+* a **multilevel axis**: a one-level hierarchy lays out exactly as the
+  flat engine;
+* a **fused axis** (``TestFusedConformance``): every engine × merge run
+  through the fused per-iteration path vs both the serial reference and
+  the per-batch loop it replaced (``tests/per_batch_reference.py``) —
+  byte-identical, with counters proving every engine really fused. Its
+  references (the per-batch loop, the unbudgeted run) always run on the
+  NumPy fallback of the compiled merge and draw, so every engine × merge ×
+  budget (None, 1, "64MB") compares the compiled path's coordinate bytes
+  and ``point_collisions`` with NumPy's; ``TestFusedConformanceOnFallback``
+  repeats the axis with the fallback on both sides;
+* a **process-parallel axis**: one shm worker is the flat engine;
+* a **kernel axis**: heavily colliding batches through ``apply_batch``,
+  compiled against the NumPy fallback.
 """
 from __future__ import annotations
 
@@ -38,7 +31,6 @@ import numpy as np
 import pytest
 
 from per_batch_reference import PerBatchRun
-from repro.backend import available_backends, backend_failures, backend_names, get_backend
 from repro.core import (
     BatchedLayoutEngine,
     CpuBaselineEngine,
@@ -55,15 +47,6 @@ from repro.prng import Xoshiro256Plus
 from repro.synth import PangenomeConfig, simulate_pangenome
 
 MERGES = ("hogwild", "accumulate", "last_writer")
-BACKENDS = backend_names()
-ATOL = 1e-9
-
-
-def _backend_or_skip(name: str):
-    if name not in available_backends():
-        pytest.skip(f"backend {name!r} unavailable: "
-                    f"{backend_failures().get(name, 'not registered')}")
-    return get_backend(name)
 
 
 @pytest.fixture(scope="module")
@@ -84,20 +67,20 @@ def conf_graph():
     return simulate_pangenome(cfg)
 
 
-def _params(merge: str, backend: str) -> LayoutParams:
+def _params(merge: str) -> LayoutParams:
     return LayoutParams(iter_max=3, steps_per_step_unit=1.0, seed=17,
-                        merge_policy=merge, backend=backend)
+                        merge_policy=merge)
 
 
-#: The serial reference depends only on the merge policy (3 runs), not on the
-#: (engine × backend) axes of the 27-case matrix — cache it per merge.
+#: The serial reference depends only on the merge policy (3 runs), not on
+#: the engine axis of the matrix — cache it per merge.
 _REFERENCE_CACHE: dict = {}
 
 
 def _serial_reference(graph, merge: str):
     if merge not in _REFERENCE_CACHE:
         _REFERENCE_CACHE[merge] = SerialReferenceEngine(
-            graph, _params(merge, "numpy")).run().layout.coords
+            graph, _params(merge)).run().layout.coords
     return _REFERENCE_CACHE[merge]
 
 
@@ -125,40 +108,16 @@ def _default_engine(kind: str, graph, params: LayoutParams):
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("merge", MERGES)
 @pytest.mark.parametrize("engine_kind", ("cpu", "batch", "gpu"))
 class TestSerialReferenceConformance:
-    def test_matches_serial_reference(self, conf_graph, engine_kind, merge,
-                                      backend_name):
-        _backend_or_skip(backend_name)
+    def test_matches_serial_reference(self, conf_graph, engine_kind, merge):
         reference = _serial_reference(conf_graph, merge)
-        engine = _serial_degenerate_engine(
-            engine_kind, conf_graph, _params(merge, backend_name))
-        got = engine.run().layout.coords
-        np.testing.assert_allclose(got, reference, atol=ATOL, rtol=0)
-        if backend_name == "numpy":
-            # The reference backend is held to bit-identity, not closeness.
-            np.testing.assert_array_equal(got, reference)
+        engine = _serial_degenerate_engine(engine_kind, conf_graph,
+                                           _params(merge))
+        np.testing.assert_array_equal(engine.run().layout.coords, reference)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-@pytest.mark.parametrize("merge", MERGES)
-@pytest.mark.parametrize("engine_kind", ("cpu", "batch", "gpu"))
-class TestCrossBackendConformance:
-    def test_default_config_matches_numpy_backend(self, conf_graph, engine_kind,
-                                                  merge, backend_name):
-        _backend_or_skip(backend_name)
-        baseline = _default_engine(
-            engine_kind, conf_graph, _params(merge, "numpy")).run()
-        candidate = _default_engine(
-            engine_kind, conf_graph, _params(merge, backend_name)).run()
-        assert candidate.total_terms == baseline.total_terms
-        np.testing.assert_allclose(candidate.layout.coords,
-                                   baseline.layout.coords, atol=ATOL, rtol=0)
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("merge", MERGES)
 @pytest.mark.parametrize("engine_kind", ("cpu", "batch", "gpu"))
 class TestMultilevelConformance:
@@ -167,20 +126,17 @@ class TestMultilevelConformance:
     ``MultilevelDriver(levels=1)`` (and any driver whose graph does not
     contract) delegates to the wrapped flat engine; the contract is
     byte-identity — same params, same seed, same PRNG draws — for every
-    engine × merge policy × backend the registry reports available.
+    engine × merge policy.
     """
 
     def test_levels1_byte_identical_to_flat_engine(self, conf_graph,
-                                                   engine_kind, merge,
-                                                   backend_name):
+                                                   engine_kind, merge):
         from repro.core.api import make_engine
         from repro.multilevel import MultilevelDriver
 
-        _backend_or_skip(backend_name)
         # Realistic batched configuration (same knobs _default_engine turns),
         # expressed through params so driver and flat engine see one config.
-        params = _params(merge, backend_name).with_(simulated_threads=4,
-                                                    batch_size=64)
+        params = _params(merge).with_(simulated_threads=4, batch_size=64)
         flat = make_engine(conf_graph, engine_kind, params).run()
         driver = MultilevelDriver(conf_graph, params, engine=engine_kind)
         multi = driver.run()
@@ -189,63 +145,51 @@ class TestMultilevelConformance:
         np.testing.assert_array_equal(multi.layout.coords, flat.layout.coords)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("merge", MERGES)
 @pytest.mark.parametrize("engine_kind", ("cpu", "batch", "gpu"))
 class TestFusedConformance:
     """Fused axis: the per-iteration execution path must not move layouts.
 
     Every engine runs through ``backend.run_iteration`` (one dispatch per
-    iteration). The bar mirrors the rest of the suite: ≤1e-9 against the
-    serial reference in the degenerate configs, agreement with the
-    per-batch loop ("unfused", run by the oracle on the same backend) in
-    the stock configs, and *byte*-identity for both on the NumPy backend.
+    iteration) and must match, byte for byte, the serial reference in the
+    degenerate configs and the per-batch loop ("unfused", run by the
+    oracle) in the stock configs.
     """
 
     def test_fused_matches_serial_reference(self, conf_graph, engine_kind,
-                                            merge, backend_name):
-        _backend_or_skip(backend_name)
+                                            merge):
         reference = _serial_reference(conf_graph, merge)
-        engine = _serial_degenerate_engine(
-            engine_kind, conf_graph, _params(merge, backend_name))
-        got = engine.run().layout.coords
-        np.testing.assert_allclose(got, reference, atol=ATOL, rtol=0)
-        if backend_name == "numpy":
-            np.testing.assert_array_equal(got, reference)
+        engine = _serial_degenerate_engine(engine_kind, conf_graph,
+                                           _params(merge))
+        np.testing.assert_array_equal(engine.run().layout.coords, reference)
 
     def test_fused_matches_unfused_default_config(self, conf_graph,
                                                   engine_kind, merge,
-                                                  backend_name, on_fallback):
-        _backend_or_skip(backend_name)
-        params = _params(merge, backend_name)
+                                                  on_fallback):
+        params = _params(merge)
         unfused = on_fallback(PerBatchRun(_default_engine(
             engine_kind, conf_graph, params)).run)
         fused = _default_engine(engine_kind, conf_graph, params).run()
         assert fused.total_terms == unfused.total_terms
         assert (fused.counters["point_collisions"]
                 == unfused.counters["point_collisions"])
-        np.testing.assert_allclose(fused.layout.coords, unfused.layout.coords,
-                                   atol=ATOL, rtol=0)
-        if backend_name == "numpy":
-            np.testing.assert_array_equal(fused.layout.coords,
-                                          unfused.layout.coords)
+        np.testing.assert_array_equal(fused.layout.coords,
+                                      unfused.layout.coords)
         # Not vacuous: every engine really took the fused path.
         assert fused.counters["fused_iterations"] == fused.iterations
         assert fused.counters["update_dispatches"] == fused.iterations
 
     @pytest.mark.parametrize("budget", (1, "64MB"))
     def test_memory_budget_preserves_layout(self, conf_graph, engine_kind,
-                                            merge, backend_name, budget,
-                                            on_fallback):
+                                            merge, budget, on_fallback):
         """Chunked megablock (PR 8): the budget is an execution knob only.
 
         A 1-byte budget forces one chunk per segment — the maximally
         chunked schedule — while "64MB" covers the whole iteration and
         must degrade to the single unchunked dispatch. Both must leave the
-        layout untouched: ≤1e-9 everywhere, byte-identical on NumPy.
+        layout byte-identical.
         """
-        _backend_or_skip(backend_name)
-        params = _params(merge, backend_name)
+        params = _params(merge)
         unbudgeted = on_fallback(
             _default_engine(engine_kind, conf_graph, params).run)
         budgeted = _default_engine(
@@ -254,12 +198,8 @@ class TestFusedConformance:
         assert budgeted.total_terms == unbudgeted.total_terms
         assert (budgeted.counters["point_collisions"]
                 == unbudgeted.counters["point_collisions"])
-        np.testing.assert_allclose(budgeted.layout.coords,
-                                   unbudgeted.layout.coords,
-                                   atol=ATOL, rtol=0)
-        if backend_name == "numpy":
-            np.testing.assert_array_equal(budgeted.layout.coords,
-                                          unbudgeted.layout.coords)
+        np.testing.assert_array_equal(budgeted.layout.coords,
+                                      unbudgeted.layout.coords)
         if engine_kind == "cpu" and budget == 1:
             # Not vacuous: a 1-byte budget yields exactly one chunk per
             # batch-plan segment (chunking never splits inside a segment).
@@ -274,7 +214,6 @@ class TestFusedConformanceOnFallback(TestFusedConformance):
     """The fused axis with the engine on the NumPy fallback too."""
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("merge", MERGES)
 class TestShmConformance:
     """Process-parallel axis: one shm worker must not move any layout.
@@ -282,39 +221,25 @@ class TestShmConformance:
     ``ShmHogwildEngine(workers=1)`` runs the flat engine's full batch plan
     on the flat engine's PRNG streams inside a real worker process over a
     real shared-memory mapping; the contract is *byte*-identity with the
-    flat engine for every merge policy on every host-resident backend —
-    the process machinery is pure plumbing, never arithmetic. The
-    deterministic in-process serialisation of the multi-worker race
-    (``run_inline``) must conserve the term budget and reproduce itself.
+    flat engine for every merge policy — the process machinery is pure
+    plumbing, never arithmetic. The deterministic in-process serialisation
+    of the multi-worker race (``run_inline``) must conserve the term budget
+    and reproduce itself.
     """
 
-    @staticmethod
-    def _host_backend_or_skip(backend_name: str):
-        be = _backend_or_skip(backend_name)
-        probe = np.zeros(1)
-        if be.from_host(probe) is not probe:
-            pytest.skip(f"backend {backend_name!r} is not host-resident; "
-                        "the shm engine needs host-mapped coordinates")
-        return be
-
-    def test_workers1_byte_identical_to_flat_engine(self, conf_graph, merge,
-                                                    backend_name):
+    def test_workers1_byte_identical_to_flat_engine(self, conf_graph, merge):
         from repro.parallel.shm import ShmHogwildEngine
 
-        self._host_backend_or_skip(backend_name)
-        params = _params(merge, backend_name).with_(simulated_threads=4)
+        params = _params(merge).with_(simulated_threads=4)
         flat = CpuBaselineEngine(conf_graph, params).run()
         shm = ShmHogwildEngine(conf_graph, params.with_(workers=1)).run()
         assert shm.total_terms == flat.total_terms
         np.testing.assert_array_equal(shm.layout.coords, flat.layout.coords)
 
-    def test_inline_two_workers_deterministic(self, conf_graph, merge,
-                                              backend_name):
+    def test_inline_two_workers_deterministic(self, conf_graph, merge):
         from repro.parallel.shm import run_workers_inline
 
-        self._host_backend_or_skip(backend_name)
-        params = _params(merge, backend_name).with_(simulated_threads=4,
-                                                    workers=2)
+        params = _params(merge).with_(simulated_threads=4, workers=2)
         flat = CpuBaselineEngine(conf_graph, params).run()
         a = run_workers_inline(conf_graph, params)
         b = run_workers_inline(conf_graph, params)
@@ -323,28 +248,25 @@ class TestShmConformance:
         np.testing.assert_array_equal(a.layout.coords, b.layout.coords)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("merge", MERGES)
 class TestKernelLevelConformance:
-    def test_apply_batch_matches_numpy_backend(self, conf_graph, merge,
-                                               backend_name):
-        """Heavily colliding sampled batches through the bare kernels."""
-        be = _backend_or_skip(backend_name)
-        ref_be = get_backend("numpy")
+    def test_apply_batch_matches_fallback(self, conf_graph, merge,
+                                          on_fallback):
+        """Heavily colliding sampled batches through the bare kernels: the
+        merge callers take (compiled when it loads) against the NumPy
+        fallback, coordinate bytes and collision counts."""
         sampler = PairSampler(conf_graph, LayoutParams())
         rng = Xoshiro256Plus(23, n_streams=64)
         base = initialize_layout(conf_graph, seed=2).coords
         for batch_size in (1, 33, 256):
             batch = sampler.sample(rng, batch_size, iteration=0)
-            expect_host = base.copy()
-            ref_stats = apply_batch(expect_host, batch, 0.8, merge=merge,
-                                    workspace=UpdateWorkspace(batch_size,
-                                                              backend=ref_be))
-            coords_dev = be.from_host(base.copy())
-            got_stats = apply_batch(coords_dev, batch, 0.8, merge=merge,
-                                    workspace=UpdateWorkspace(batch_size,
-                                                              backend=be))
-            np.testing.assert_allclose(be.to_host(coords_dev), expect_host,
-                                       atol=ATOL, rtol=0)
+            expect = base.copy()
+            ref_stats = on_fallback(apply_batch, expect, batch, 0.8,
+                                    merge=merge,
+                                    workspace=UpdateWorkspace(batch_size))
+            got = base.copy()
+            got_stats = apply_batch(got, batch, 0.8, merge=merge,
+                                    workspace=UpdateWorkspace(batch_size))
+            assert got.tobytes() == expect.tobytes()
             assert got_stats.n_point_collisions == ref_stats.n_point_collisions
             assert got_stats.n_terms == ref_stats.n_terms

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from per_batch_reference import PerBatchRun
-from repro.backend import get_backend
+from repro.backend import NUMPY_BACKEND
 from repro.core import (
     BatchedLayoutEngine,
     CpuBaselineEngine,
@@ -183,7 +183,7 @@ class TestRunIterationContract:
                           iteration, seed):
         """The unfused loop, spelled out: per-segment draw + select + merge."""
         rng = Xoshiro256Plus(seed, n_streams=streams)
-        ws = UpdateWorkspace(max(plan), backend=get_backend("numpy"))
+        ws = UpdateWorkspace(max(plan))
         collisions = 0
         for batch_size in plan:
             draws = PairSampler._uniforms(rng, batch_size, 8)
@@ -202,13 +202,12 @@ class TestRunIterationContract:
         expect_collisions = self._manual_reference(
             sampler, plan, streams, merge, expect, 0.7, iteration=1, seed=41)
 
-        backend = get_backend("numpy")
         fplan = FusedIterationPlan(
             sampler=sampler, merge=merge, plan=plan, n_streams=streams,
-            workspace=UpdateWorkspace(max(plan), backend=backend))
+            workspace=UpdateWorkspace(max(plan)))
         rng = Xoshiro256Plus(41, n_streams=streams)
         got = base.copy()
-        stats = backend.run_iteration(
+        stats = NUMPY_BACKEND.run_iteration(
             fplan, got, rng.next_double_block(fplan.calls_per_iteration),
             0.7, 1)
         np.testing.assert_array_equal(got, expect)

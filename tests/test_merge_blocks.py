@@ -20,8 +20,7 @@ import merge_reference as ref
 import repro.core.fused as fused_mod
 import repro.core.updates as updates_mod
 from per_batch_reference import PerBatchRun
-from repro.backend import ArrayBackend, get_backend
-from repro.backend.numpy_backend import NumpyBackend
+from repro.backend import NUMPY_BACKEND, NumpyBackend
 from repro.core import (
     CpuBaselineEngine,
     LayoutParams,
@@ -76,8 +75,8 @@ def _oracle_run(graph, plan, merge, seed, memory_budget=None, eta=4.0,
                                 chunk.n_streams)
         terms = sampler.select_from_uniforms(draws, sum(chunk.plan), iteration)
         collisions += ref.run_plan(expect, terms, chunk.plan, eta, merge)
-        got += run_iteration_host(get_backend("numpy"), chunk, coords,
-                                  uniforms, eta, iteration).n_point_collisions
+        got += run_iteration_host(chunk, coords, uniforms, eta,
+                                  iteration).n_point_collisions
     assert coords.tobytes() == expect.tobytes()
     assert got == sum(collisions)
     return coords
@@ -297,14 +296,8 @@ class TestRunPath:
                     == blocks.counters["point_collisions"])
 
 
-class _GenericNumpy(ArrayBackend):
-    name = "generic-numpy"
-    xp = np
-
-
-@pytest.mark.parametrize("backend", [get_backend("numpy"), _GenericNumpy()],
-                         ids=["numpy", "generic"])
-def test_last_writer_keeps_highest_index_contribution(backend):
+def test_last_writer_keeps_highest_index_contribution():
+    backend = NUMPY_BACKEND
     rng = np.random.default_rng(17)
     points = rng.integers(0, 25, size=400)
     deltas = rng.normal(size=(400, 2))

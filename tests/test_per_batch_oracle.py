@@ -3,16 +3,14 @@
 The batched engine, the GPU model in seven configurations, the fixed-hop
 run, ``record_history`` runs and two-level hierarchies over the batched
 and GPU engines all step through ``step_units`` → ``backend.run_iteration``
-now. On the NumPy backend each must reproduce the per-batch oracle
+now. Each must reproduce the per-batch oracle
 (``tests/per_batch_reference.py``) bit for bit, under every merge policy
 and memory budget: coordinate bytes, ``total_terms``, ``point_collisions``,
 history records, the batched engine's ``op_profile`` and every
 ``GpuProfile`` field. Counters that describe the execution itself
 (``update_dispatches``, ``kernel_launches``) are checked on their own.
 
-The backend is ``$REPRO_BACKEND`` (NumPy by default); on any other backend
-coordinates and sampled stresses are held to 1e-9 and the counts stay
-exact. The oracle merges through ``merge_batch`` too, so it always runs on
+The oracle merges through ``merge_batch`` too, so it always runs on
 the NumPy fallback (``on_fallback``). The engine under test runs on the
 compiled merge and draw (the default when they load) and, in
 ``TestAgainstPerBatchLoopOnFallback``, on the fallback.
@@ -27,7 +25,6 @@ import pytest
 
 import per_batch_reference as ref
 from per_batch_reference import PerBatchRun
-from repro.backend import resolve_backend_name
 from repro.core import (
     BatchedLayoutEngine,
     CpuBaselineEngine,
@@ -41,8 +38,6 @@ from repro.multilevel import MultilevelDriver
 from repro.prng import Xoshiro256Plus
 from repro.synth import PangenomeConfig, simulate_pangenome
 
-#: Bit-identity is the NumPy backend's contract; others are held to 1e-9.
-EXACT = resolve_backend_name(None) == "numpy"
 MERGES = ("hogwild", "accumulate", "last_writer")
 BUDGETS = (None, 1, "64MB")
 
@@ -87,11 +82,7 @@ def _params(merge, budget, **overrides) -> LayoutParams:
 
 
 def _assert_same_layout(new, old):
-    if EXACT:
-        assert new.layout.coords.tobytes() == old.layout.coords.tobytes()
-    else:
-        np.testing.assert_allclose(new.layout.coords, old.layout.coords,
-                                   atol=1e-9, rtol=0)
+    assert new.layout.coords.tobytes() == old.layout.coords.tobytes()
     assert new.total_terms == old.total_terms
     assert new.counters["point_collisions"] == old.counters["point_collisions"]
 
@@ -103,12 +94,8 @@ def _assert_same_run(new, old):
         return [dataclasses.replace(h, sampled_stress=0.0) for h in history]
 
     assert records(new.history) == records(old.history)
-    got = [h.sampled_stress for h in new.history]
-    expect = [h.sampled_stress for h in old.history]
-    if EXACT:
-        assert got == expect
-    else:
-        np.testing.assert_allclose(got, expect, atol=1e-9, rtol=0)
+    assert ([h.sampled_stress for h in new.history]
+            == [h.sampled_stress for h in old.history])
     assert new.counters["fused_iterations"] == new.iterations
 
 

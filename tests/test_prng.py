@@ -15,6 +15,7 @@ from repro.prng import (
     splitmix64_next,
     state_addresses,
 )
+from repro.prng.splitmix import _ZERO_REMAP, expand_streams
 from repro.prng.xoshiro import reference_scalar_next
 
 
@@ -62,6 +63,54 @@ class TestSeedStreams:
     def test_rejects_nonpositive_stream_count(self, bad):
         with pytest.raises(ValueError):
             seed_streams(0, bad)
+
+
+def _expand_per_word(sm, n_streams, words_per_stream=4):
+    """Oracle for ``expand_streams``: one ``next_uint64`` call per word."""
+    total = n_streams * words_per_stream
+    words = np.empty(total, dtype=np.uint64)
+    for i in range(total):
+        words[i] = sm.next_uint64()[0]
+    words[words == 0] = _ZERO_REMAP
+    return words.reshape(n_streams, words_per_stream)
+
+
+#: SplitMix64's first raw output from this seed is 0: its first advanced
+#: state, ``seed + γ`` mod 2^64, is 0, and the mix maps 0 to 0.
+ZERO_FIRST_SEED = 2**64 - 0x9E3779B97F4A7C15
+
+
+class TestExpandStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 9399, 123456789, 2**64 - 1,
+                                      ZERO_FIRST_SEED])
+    @pytest.mark.parametrize("n_streams,words", [(1, 4), (3, 4), (64, 4),
+                                                 (512, 4), (5, 1), (7, 3)])
+    def test_matches_per_word_oracle(self, seed, n_streams, words):
+        """Words and generator state, over repeated calls on one generator
+        (the prefix stability ``recovery_stream_states`` relies on)."""
+        got, want = SplitMix64(seed, 1), SplitMix64(seed, 1)
+        for _ in range(2):
+            block = expand_streams(got, n_streams, words)
+            assert block.dtype == np.uint64
+            assert block.tobytes() == _expand_per_word(want, n_streams,
+                                                       words).tobytes()
+            assert got.state.dtype == want.state.dtype
+            assert got.state.tobytes() == want.state.tobytes()
+
+    def test_zero_word_is_remapped(self):
+        assert int(SplitMix64(ZERO_FIRST_SEED, 1).next_uint64()[0]) == 0
+        block = expand_streams(SplitMix64(ZERO_FIRST_SEED, 1), 2)
+        assert block[0, 0] == _ZERO_REMAP
+        assert not np.any(block == 0)
+
+    def test_seed_streams_is_one_expansion(self):
+        sm = SplitMix64(77, 1)
+        head, tail = expand_streams(sm, 3), expand_streams(sm, 5)
+        assert np.array_equal(np.vstack([head, tail]), seed_streams(77, 8))
+
+    def test_rejects_multi_stream_generator(self):
+        with pytest.raises(ValueError, match="single-stream"):
+            expand_streams(SplitMix64(1, 2), 4)
 
 
 class TestRotl:
