@@ -14,8 +14,9 @@ Each timing is a best-of-``repeats`` mean over an inner loop (stable on an
 otherwise idle machine) and is recorded with ``deterministic=False``: the
 runner's across-repeat byte-identity check skips it, while ``repro bench
 compare`` still gates it directionally against the committed baseline. All
-sampled inputs come from master-seeded PRNGs so the *workload* being timed is
-identical run to run.
+sampled inputs come from master-seeded PRNGs, drawn as a run draws one
+segment (:func:`~repro.core.fused.draw_segment`), so the *workload* being
+timed is identical run to run.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ...core import PairSampler, initialize_layout
+from ...core import PairSampler, draw_segment, initialize_layout
 from ...core.cpu_baseline import CpuBaselineEngine
 from ...core.updates import UpdateWorkspace, merge_batch
 from ...memtrack import PeakTracker
@@ -84,7 +85,7 @@ def run_apply_batch(ctx) -> CaseResult:
     graph = ctx.perf_graph
     sampler = PairSampler(graph, ctx.smoke_params)
     rng = Xoshiro256Plus(ctx.seed_for("perf_apply_batch/sample"), n_streams=_BATCH)
-    batch = sampler.sample(rng, _BATCH, iteration=0)
+    batch = draw_segment(sampler, rng, _BATCH, 0)
     coords = initialize_layout(graph, seed=ctx.seed_for("perf_apply_batch/init")).coords
     workspace = UpdateWorkspace(_BATCH)
 
@@ -116,13 +117,14 @@ def run_apply_batch(ctx) -> CaseResult:
 
 @bench_case("perf_sampler", source="Alg. 1 l.5-13 (hot path)", suites=("smoke",))
 def run_sampler(ctx) -> CaseResult:
-    """PairSampler bulk-draw + term-selection wall time per 256-term batch."""
+    """``draw_segment`` (draw, re-lay, selection) and its 8-call bulk draw
+    alone, wall time per 256-term batch."""
     graph = ctx.perf_graph
     sampler = PairSampler(graph, ctx.smoke_params)
     rng = Xoshiro256Plus(ctx.seed_for("perf_sampler/stream"), n_streams=_BATCH)
 
-    sample_ms = _best_ms(lambda: sampler.sample(rng, _BATCH, iteration=0), inner=150)
-    uniforms_ms = _best_ms(lambda: PairSampler._uniforms(rng, _BATCH, 8), inner=150)
+    sample_ms = _best_ms(lambda: draw_segment(sampler, rng, _BATCH, 0), inner=150)
+    uniforms_ms = _best_ms(lambda: rng.next_double_block(8), inner=150)
 
     out = CaseResult(graph_properties=ctx.graph_properties(graph))
     out.add("sample_ms_per_batch", sample_ms, unit="ms", direction="lower",
@@ -132,7 +134,7 @@ def run_sampler(ctx) -> CaseResult:
     out.add("draws_per_sample", 8, direction="info")
     out.tables.append(format_table(
         ["Stage", "ms / 256-term batch"],
-        [["sample() end to end", f"{sample_ms:.4f}"],
+        [["draw_segment() end to end", f"{sample_ms:.4f}"],
          ["8-vector uniform block", f"{uniforms_ms:.4f}"]],
         title="Smoke: sampler hot-path wall time (Chr.1-like)",
     ))

@@ -10,9 +10,7 @@ from .layout import Layout, NodeDataLayout, initialize_layout, node_record_addre
 from .selection import PairSampler, SelectionArrays, StepBatch, zipf_hop_distances
 from .updates import (
     TermBlock,
-    UpdateStats,
     UpdateWorkspace,
-    apply_batch,
     batch_stress,
     compact_points,
     compute_displacements,
@@ -22,6 +20,7 @@ from .updates import (
 from .fused import (
     FusedIterationPlan,
     FusedIterationStats,
+    draw_segment,
     run_iteration_host,
     uniform_call_plan,
 )
@@ -44,9 +43,7 @@ __all__ = [
     "StepBatch",
     "zipf_hop_distances",
     "TermBlock",
-    "UpdateStats",
     "UpdateWorkspace",
-    "apply_batch",
     "batch_stress",
     "compact_points",
     "compute_displacements",
@@ -54,6 +51,7 @@ __all__ = [
     "prepare_block",
     "FusedIterationPlan",
     "FusedIterationStats",
+    "draw_segment",
     "run_iteration_host",
     "uniform_call_plan",
     "IterationRecord",

@@ -25,9 +25,9 @@ engine's segments are one term each. Its fixed-hop run
 fixed-hop recipe.
 
 The engine also exposes :meth:`CpuBaselineEngine.access_trace`, which
-replays a sample of update terms into byte-level memory addresses under
-either node-data layout; the cache simulator consumes that trace for the
-CPU rows of Tables II and IX.
+replays a segment of update terms (:func:`~repro.core.fused.draw_segment`)
+into byte-level memory addresses under either node-data layout; the cache
+simulator consumes that trace for the CPU rows of Tables II and IX.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import numpy as np
 from ..graph.lean import LeanGraph
 from ..prng.xoshiro import Xoshiro256Plus
 from .base import LayoutEngine, LayoutResult, split_into_batches
+from .fused import draw_segment
 from .layout import NodeDataLayout, node_record_addresses
 from .params import LayoutParams
 from .selection import DrawRecipe
@@ -96,7 +97,7 @@ class CpuBaselineEngine(LayoutEngine):
         """
         layout = data_layout if data_layout is not None else self._data_layout
         rng = Xoshiro256Plus(self.params.seed if seed is None else seed, n_streams=64)
-        batch = self.sampler.sample(rng, n_terms, iteration)
+        batch = draw_segment(self.sampler, rng, n_terms, iteration)
         addr_i = node_record_addresses(
             batch.node_i, batch.vis_i, layout, self.graph.n_nodes
         )
@@ -134,7 +135,7 @@ class SerialReferenceEngine(LayoutEngine):
 class _FixedHopRun(SerialReferenceEngine):
     """A serial engine's run with fixed-hop sampling: per iteration, one
     segment of the whole step budget, drawn and selected by the fixed-hop
-    recipe (``sample_fixed_hop``'s 4 vectors)."""
+    recipe (:meth:`PairSampler.select_fixed_hop`'s 4 vectors)."""
 
     name = f"{SerialReferenceEngine.name}-fixed-hop"
 

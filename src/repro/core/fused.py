@@ -20,6 +20,8 @@ segment draws: the stock 8 vectors, the GPU model's per-warp cooling and
 path draws before them, or the fixed hop's 4. The megablock consumes the
 PRNG streams segment after segment in the order the engines' historical
 per-batch draws did, so every engine samples the terms it always sampled.
+This module owns that draw order; :func:`draw_segment` runs it for one
+segment outside a run.
 
 Segments execute sequentially: each term reads the coordinates as of its
 segment's start, and the write merge per segment is the hogwild/accumulate/
@@ -370,7 +372,8 @@ def iteration_draws(uniforms, plan: List[int], need_calls: np.ndarray,
 def draw_segment(sampler: PairSampler, rng, size: int, iteration: int,
                  recipe: DrawRecipe = STOCK_RECIPE) -> StepBatch:
     """Draw and select one ``size``-term segment exactly as a run does,
-    before data reuse (the GPU model's profile sample)."""
+    before data reuse: the one way to draw terms outside a run (the GPU
+    model's profile sample, ``access_trace``, ``measure_collisions``)."""
     need, calls = uniform_call_plan([size], rng.n_streams, recipe)
     uniforms = rng.next_double_block(calls)
     draws = iteration_draws(uniforms, [size], need, rng.n_streams,

@@ -11,24 +11,25 @@ Every update step of the path-guided SGD algorithm selects
 
 The paper identifies this randomness as both essential for quality
 (Sec. III-C, Fig. 6) and the source of the workload's irregular memory
-accesses. All selection here is vectorised over a batch of steps, driven by
-any of the multi-stream PRNGs in :mod:`repro.prng`.
+accesses. All selection here is vectorised over a chunk of terms and reads
+only the sampler's :class:`SelectionArrays` and uniforms drawn in the order
+:mod:`repro.core.fused` owns (:func:`~repro.core.fused.draw_segment` draws
+one segment as a run does).
 
 Selection runs on host NumPy, where the PRNG streams produce their draws,
 and the update kernels read the selected :class:`StepBatch` arrays as they
-are.
-A :class:`DrawRecipe` says what one plan segment draws and how its terms
-are selected; :meth:`PairSampler.select_chunk` selects a chunk at once.
+are. A :class:`DrawRecipe` says what one plan segment draws and how its
+terms are selected; :meth:`PairSampler.select_chunk` selects a chunk at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import List, NamedTuple, Optional, Protocol
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from ..graph.lean import LeanGraph
-from ..graph.path_index import PathIndex
+from ..graph.path_index import PathIndex, paths_for_uniforms
 from .params import LayoutParams
 
 __all__ = ["DrawRecipe", "SAMPLE_VECTORS", "STOCK_RECIPE", "StepBatch",
@@ -37,19 +38,6 @@ __all__ = ["DrawRecipe", "SAMPLE_VECTORS", "STOCK_RECIPE", "StepBatch",
 #: Uniform vectors one term draws in the stock recipe: 6 path/cooling/pair
 #: vectors and 2 endpoint coin flips.
 SAMPLE_VECTORS = 8
-
-
-class _MultiStreamRNG(Protocol):
-    """The minimal PRNG interface the sampler needs (uniform doubles).
-
-    ``next_double`` (one call, one value per stream) is the portable core.
-    Generators additionally exposing ``n_streams`` and a bulk
-    ``next_double_block(n_calls)`` (:class:`~repro.prng.xoshiro.Xoshiro256Plus`)
-    let the sampler fill its uniform blocks without a Python loop per call;
-    the draw order is identical either way.
-    """
-
-    def next_double(self) -> np.ndarray: ...  # pragma: no cover - protocol
 
 
 class SelectionArrays(NamedTuple):
@@ -116,32 +104,6 @@ class StepBatch:
             in_cooling=self.in_cooling[start:stop],
         )
 
-    def nonzero_terms(self) -> "StepBatch":
-        """Drop terms whose reference distance is zero (no gradient defined).
-
-        In the common case every sampled pair has ``d_ref > 0`` (two distinct
-        steps of one path start at distinct nucleotide positions unless a
-        zero-length node intervenes); the batch is then returned *as is* —
-        no 9-array fancy-index copy on the hot path. Callers must treat the
-        result as read-only aliasing of the input, which they already did:
-        the filtered batch was always backed by fresh copies only when the
-        mask removed something.
-        """
-        keep = self.d_ref > 0
-        if bool(keep.all()):
-            return self
-        return StepBatch(
-            path=self.path[keep],
-            flat_i=self.flat_i[keep],
-            flat_j=self.flat_j[keep],
-            node_i=self.node_i[keep],
-            node_j=self.node_j[keep],
-            vis_i=self.vis_i[keep],
-            vis_j=self.vis_j[keep],
-            d_ref=self.d_ref[keep],
-            in_cooling=self.in_cooling[keep],
-        )
-
 
 @dataclass(eq=False)
 class DrawRecipe:
@@ -152,8 +114,9 @@ class DrawRecipe:
     ``warp_paths``, one of per-warp paths (data reuse); then the 8 per-term
     vectors of :meth:`PairSampler.select_from_uniforms`, or with ``hop`` > 0
     the 4 of :meth:`PairSampler.select_fixed_hop`. A vector of ``n`` values
-    takes ``ceil(n / n_streams)`` calls, vector-major and call-minor: the
-    order the engines' per-batch draws consumed the streams in. ``reuse`` >
+    takes ``ceil(n / n_streams)`` calls, vector-major and call-minor
+    (:func:`repro.core.fused.uniform_call_plan` counts them and
+    :func:`repro.core.fused.iteration_draws` re-lays them). ``reuse`` >
     1 expands each selected segment (:meth:`PairSampler.warp_shuffle`).
     ``cooling_sum``/``cooling_segments`` tally the fraction of warps in the
     cooling branch, one addend per segment in draw order.
@@ -165,11 +128,6 @@ class DrawRecipe:
     hop: int = 0
     cooling_sum: float = 0.0
     cooling_segments: int = 0
-
-    @property
-    def stock(self) -> bool:
-        """Whether this is the 8-vector recipe of Alg. 1 with nothing added."""
-        return not (self.warp or self.hop)
 
     @property
     def vectors(self) -> int:
@@ -222,20 +180,16 @@ def zipf_hop_distances(
 
 
 class PairSampler:
-    """Vectorised sampler of update terms over a lean graph."""
+    """Vectorised selection of update terms over a lean graph's arrays."""
 
     def __init__(self, graph: LeanGraph, params: LayoutParams,
                  index: Optional[PathIndex] = None):
-        self.graph = graph
-        self.params = params
-        self.index = index if index is not None else PathIndex(graph)
         if graph.total_steps == 0:
             raise ValueError("cannot sample node pairs from a graph without path steps")
-        self._offsets = graph.path_offsets
-        self._counts = graph.path_step_counts
+        self.params = params
         # Everything selection reads, in one bundle.
         self.arrays = SelectionArrays(
-            cum_steps=self.index.cum_steps,
+            cum_steps=(index if index is not None else PathIndex(graph)).cum_steps,
             path_offsets=graph.path_offsets,
             path_counts=graph.path_step_counts,
             step_nodes=graph.step_nodes,
@@ -250,83 +204,39 @@ class PairSampler:
         The shared-memory workers (:mod:`repro.parallel.shm`) receive the
         selection arrays as views into one shared segment rather than a
         pickled :class:`LeanGraph`; this constructor rebuilds a sampler
-        around them. :meth:`sample` and :meth:`select_from_uniforms` read
-        only ``params`` and the bundle, so batches drawn here are
-        byte-identical to the graph-built sampler's. Graph-dependent extras
-        (``sample_fixed_hop``) are unavailable — ``graph``/``index`` are
-        ``None``.
+        around them. Selection reads only ``params`` and the bundle, so
+        terms selected here are byte-identical to the graph-built
+        sampler's under every :class:`DrawRecipe`.
         """
         self = cls.__new__(cls)
-        self.graph = None
-        self.index = None
         self.params = params
-        self._offsets = arrays.path_offsets
-        self._counts = arrays.path_counts
         self.arrays = arrays
         return self
-
-    # ------------------------------------------------------------------ API
-    def sample(
-        self,
-        rng: _MultiStreamRNG,
-        batch_size: int,
-        iteration: int,
-        forced_cooling: Optional[bool] = None,
-        cooling_mask: Optional[np.ndarray] = None,
-        path_override: Optional[np.ndarray] = None,
-    ) -> StepBatch:
-        """Draw ``batch_size`` update terms for ``iteration``.
-
-        ``forced_cooling`` overrides the cooling decision for every term and
-        ``cooling_mask`` overrides it per term (used by the warp-merging
-        kernel, where one control thread decides for the whole warp, and by
-        the quality study of Fig. 6). ``path_override`` forces the selected
-        path per term (used by the warp-shuffle data-reuse scheme, which
-        keeps every warp on one path).
-        """
-        # One bulk draw covers everything the batch needs: vectors 0-5 drive
-        # path/cooling/pair selection and vectors 6-7 the endpoint coin flips
-        # of lines 12-13. Drawing all 8 at once halves the Python-level call
-        # overhead while consuming the PRNG streams in the exact order the
-        # historical two-call scheme did, so sampled batches are unchanged.
-        draws = self._uniforms(rng, batch_size, 8)
-        return self.select_from_uniforms(
-            draws,
-            batch_size,
-            iteration,
-            forced_cooling=forced_cooling,
-            cooling_mask=cooling_mask,
-            path_override=path_override,
-        )
 
     def select_from_uniforms(
         self,
         draws: np.ndarray,
         batch_size: int,
         iteration: int,
-        forced_cooling: Optional[bool] = None,
         cooling_mask: Optional[np.ndarray] = None,
         path_override: Optional[np.ndarray] = None,
     ) -> StepBatch:
         """Term selection over a pre-drawn ``(8, batch_size)`` uniform block.
 
-        This is the selection half of :meth:`sample` — the exact historical
-        call sequence, with the PRNG draws supplied by the caller instead of
-        drawn here. :meth:`select_chunk` calls it once over a whole chunk's
-        re-laid megablock; every operation is elementwise, so the selected
-        terms are byte-identical to one call per segment.
+        ``cooling_mask`` and ``path_override`` override the cooling decision
+        and the path per term (the GPU model's warp lanes, :meth:`_warp_lanes`).
+        :meth:`select_chunk` calls this once over a whole chunk's re-laid
+        megablock; every operation is elementwise, so the selected terms are
+        byte-identical to one call per segment.
         """
         arrays = self.arrays
-        # Line 5: path selection proportional to step count — inverse CDF
-        # over the cumulative step counts (PathIndex.sample_paths verbatim).
+        # Line 5: path selection proportional to step count.
         if path_override is not None:
             paths = np.asarray(path_override, dtype=np.int64)
             if paths.size != batch_size:
                 raise ValueError("path_override must have one entry per term")
         else:
-            total = arrays.cum_steps[-1]
-            targets = np.minimum((draws[0] * total).astype(np.int64), total - 1)
-            paths = np.searchsorted(arrays.cum_steps, targets, side="right") - 1
+            paths = paths_for_uniforms(arrays.cum_steps, draws[0])
         starts = arrays.path_offsets[paths]
         counts = arrays.path_counts[paths]
         # Line 6: cooling decision = (iter >= iter_max/2) or coin flip.
@@ -334,11 +244,9 @@ class PairSampler:
             cooling = np.asarray(cooling_mask, dtype=bool)
             if cooling.size != batch_size:
                 raise ValueError("cooling_mask must have one entry per term")
-        elif forced_cooling is None:
+        else:
             always = iteration >= self.params.first_cooling_iteration()
             cooling = np.full(batch_size, always, dtype=bool) | (draws[1] < 0.5)
-        else:
-            cooling = np.full(batch_size, bool(forced_cooling))
         # First step of the pair: uniform within the path.
         local_i = np.minimum((draws[2] * counts).astype(np.int64), counts - 1)
         # Second step: uniform (exploration) or Zipf hop (cooling).
@@ -422,7 +330,8 @@ class PairSampler:
             recipe.cooling_segments += 1
             if recipe.warp_paths:
                 path_draw = uniforms[row + need:row + 2 * need].reshape(-1)[:n_warps]
-                paths.append(np.repeat(self.index.sample_paths(path_draw), warp)[:size])
+                paths.append(np.repeat(
+                    paths_for_uniforms(self.arrays.cum_steps, path_draw), warp)[:size])
             row += recipe.segment_calls(size, n_streams)
         return np.concatenate(cooling), (np.concatenate(paths) if paths else None)
 
@@ -457,79 +366,31 @@ class PairSampler:
         return StepBatch(*(np.concatenate([getattr(p, f.name) for p in parts])
                            for f in fields(StepBatch)))
 
-    def sample_fixed_hop(self, rng: _MultiStreamRNG, batch_size: int, hop: int) -> StepBatch:
-        """Degenerate sampler forcing every pair to be exactly ``hop`` steps apart.
-
-        Reproduces the Fig. 6 experiment: removing randomness from node-pair
-        selection prevents convergence.
-        """
-        if hop < 1:
-            raise ValueError("hop must be >= 1")
-        # Single 4-vector bulk draw (path, step, both endpoints) — same stream
-        # consumption order as the historical two 2-vector draws.
-        draws = self._uniforms(rng, batch_size, 4)
-        return self.select_fixed_hop(draws, batch_size, hop)
-
     def select_fixed_hop(self, draws: np.ndarray, batch_size: int,
                          hop: int) -> StepBatch:
-        """Fixed-hop selection over a pre-drawn ``(4, batch_size)`` block."""
-        paths = self.index.sample_paths(draws[0])
-        starts = self._offsets[paths]
-        counts = self._counts[paths]
+        """Fixed-hop selection over a pre-drawn ``(4, batch_size)`` block:
+        every pair ``hop`` steps apart where the path allows (Fig. 6's
+        non-converging sampler)."""
+        arrays = self.arrays
+        paths = paths_for_uniforms(arrays.cum_steps, draws[0])
+        starts = arrays.path_offsets[paths]
+        counts = arrays.path_counts[paths]
         local_i = np.minimum((draws[1] * counts).astype(np.int64), counts - 1)
         local_j = np.clip(local_i + hop, 0, np.maximum(counts - 1, 0))
         flat_i = starts + local_i
         flat_j = starts + local_j
         d_ref = np.abs(
-            self.graph.step_positions[flat_i] - self.graph.step_positions[flat_j]
+            arrays.step_positions[flat_i] - arrays.step_positions[flat_j]
         ).astype(np.float64)
         vis = draws[2:]
         return StepBatch(
             path=paths,
             flat_i=flat_i,
             flat_j=flat_j,
-            node_i=self.graph.step_nodes[flat_i],
-            node_j=self.graph.step_nodes[flat_j],
+            node_i=arrays.step_nodes[flat_i],
+            node_j=arrays.step_nodes[flat_j],
             vis_i=(vis[0] < 0.5).astype(np.int64),
             vis_j=(vis[1] < 0.5).astype(np.int64),
             d_ref=d_ref,
             in_cooling=np.zeros(batch_size, dtype=bool),
         )
-
-    # -------------------------------------------------------------- helpers
-    @staticmethod
-    def _uniforms(rng: _MultiStreamRNG, batch_size: int, n_vectors: int) -> np.ndarray:
-        """Draw ``n_vectors`` independent uniform vectors of length ``batch_size``.
-
-        Multi-stream PRNGs return one value per stream per call; when the
-        stream count differs from the batch size the draws are tiled/cropped,
-        which preserves decorrelation across the batch because consecutive
-        calls advance every stream.
-
-        The whole ``(n_vectors × batch_size)`` block comes from one bulk
-        ``next_double_block`` fill (generators without the bulk API fall back
-        to a flat per-call loop). The consumption order (vector-major,
-        call-minor) is the sampler's determinism contract: every call
-        advances each stream once, and call ``c`` of vector ``v`` is PRNG
-        call ``v · ceil(batch/streams) + c`` — byte-identical between the
-        bulk and per-call fills (pinned by ``tests/test_update_hotpath.py``).
-        Changing this order changes every sampled batch and therefore
-        requires regenerating the committed smoke baseline (see ROADMAP).
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if n_vectors < 1:
-            raise ValueError("n_vectors must be >= 1")
-        n_streams = getattr(rng, "n_streams", 0)
-        if n_streams and hasattr(rng, "next_double_block"):
-            need_calls = -(-batch_size // n_streams)
-            block = rng.next_double_block(n_vectors * need_calls)
-        else:
-            first = np.asarray(rng.next_double(), dtype=np.float64)
-            n_streams = first.size
-            need_calls = int(np.ceil(batch_size / n_streams))
-            block = np.empty((n_vectors * need_calls, n_streams), dtype=np.float64)
-            block[0] = first
-            for call in range(1, block.shape[0]):
-                block[call] = rng.next_double()
-        return block.reshape(n_vectors, need_calls * n_streams)[:, :batch_size]

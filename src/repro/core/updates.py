@@ -6,11 +6,12 @@ visualisation points along their connecting line so the layout distance
 approaches the reference distance, with a per-term step size
 ``μ = min(η · d_ref^-2, 1)``.
 
-A *batch* of terms is applied at once. Within a batch every term reads the
-coordinates as they were at the start of the batch and the writes are merged
-afterwards — exactly the staleness the paper's Hogwild!/large-batch analysis
-discusses (Sec. III-A, IV-A): small batches behave like the serial algorithm,
-huge batches accumulate stale updates and degrade quality (Table III).
+A *segment* of terms is applied at once. Within a segment every term reads
+the coordinates as they were at the start of the segment and the writes are
+merged afterwards — exactly the staleness the paper's Hogwild!/large-batch
+analysis discusses (Sec. III-A, IV-A): small segments behave like the serial
+algorithm, huge ones accumulate stale updates and degrade quality (Table
+III). :func:`merge_batch` is the one entry point.
 
 Three write-merge policies are offered:
 
@@ -28,10 +29,9 @@ Three write-merge policies are offered:
 Cost discipline (paper Sec. V-B): the update step is memory-bound, so the
 merge must never touch more state than the batch itself. All three policies
 operate on the *compacted* index space of the points the batch actually
-touches (:func:`compact_points`), making ``apply_batch`` O(batch) per batch
-— independent of the graph size — and an :class:`UpdateWorkspace` of
-preallocated scratch buffers removes the per-batch allocation of the large
-staging arrays.
+touches (:func:`compact_points`), making a merge O(batch) — independent of
+the graph size — and an :class:`UpdateWorkspace` of preallocated scratch
+buffers removes the per-batch allocation of the large staging arrays.
 
 Hoisting: a run of equal-size segments is merged as one *block*
 (:func:`merge_batch` with ``segments > 1``). Everything that reads no
@@ -58,16 +58,14 @@ on host arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..backend import NUMPY_BACKEND, cext
-from .params import MERGE_POLICIES
 from .selection import StepBatch
 
 __all__ = [
-    "UpdateStats",
     "UpdateWorkspace",
     "TermBlock",
     "compact_points",
@@ -75,20 +73,10 @@ __all__ = [
     "compute_displacements",
     "merge_segments",
     "merge_batch",
-    "apply_batch",
     "batch_stress",
 ]
 
 _MIN_DISTANCE = 1e-9
-
-
-@dataclass
-class UpdateStats:
-    """Counters describing one applied batch (consumed by profiling models)."""
-
-    n_terms: int
-    n_zero_ref: int
-    n_point_collisions: int
 
 
 class UpdateWorkspace:
@@ -341,9 +329,9 @@ def merge_batch(
 ) -> int:
     """Displace and merge ``segments`` equal segments of ``batch`` into ``coords``.
 
-    The one merge implementation: :func:`apply_batch` calls it with one
-    segment, the fused iteration path (:mod:`repro.core.fused`) with a
-    block of equal segments. :func:`prepare_block` computes the block's
+    The one merge implementation: the fused iteration path
+    (:mod:`repro.core.fused`) calls it once per block of equal segments;
+    a bare ``batch`` is one segment. :func:`prepare_block` computes the block's
     coordinate-free state, compaction included, once. When
     :func:`repro.backend.cext.kernels` loads, one compiled call then
     merges the whole block, segment by segment and bit for bit as
@@ -358,34 +346,6 @@ def merge_batch(
             coords, block, merge, workspace.term_delta, workspace.merge_delta):
         merge_segments(coords, block, merge, workspace, compute_displacements)
     return block.n_collisions
-
-
-def apply_batch(
-    coords: np.ndarray,
-    batch: StepBatch,
-    eta: float,
-    merge: str = "hogwild",
-    workspace: Optional[UpdateWorkspace] = None,
-) -> UpdateStats:
-    """Apply one batch of updates to ``coords`` in place and return statistics.
-
-    Every merge policy works over the compacted touched-point space, so the
-    per-batch cost is O(batch · log batch), independent of the graph size.
-    Passing the run's :class:`UpdateWorkspace` additionally removes the
-    steady-state allocation of all batch-shaped staging arrays.
-    """
-    if merge not in MERGE_POLICIES:
-        raise ValueError("merge must be 'hogwild', 'accumulate' or 'last_writer'")
-    if len(batch) == 0:
-        return UpdateStats(0, 0, 0)
-    n = len(batch)
-    ws = workspace if workspace is not None else UpdateWorkspace(n)
-    n_collisions = merge_batch(coords, batch, eta, merge, ws)
-    return UpdateStats(
-        n_terms=n,
-        n_zero_ref=int((batch.d_ref <= 0).sum()),
-        n_point_collisions=n_collisions,
-    )
 
 
 def batch_stress(coords: np.ndarray, batch: StepBatch) -> float:

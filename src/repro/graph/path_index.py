@@ -20,7 +20,19 @@ import numpy as np
 
 from .lean import LeanGraph
 
-__all__ = ["PathIndex"]
+__all__ = ["PathIndex", "paths_for_uniforms"]
+
+
+def paths_for_uniforms(cum_steps: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Map uniform [0,1) draws to path indices with probability ∝ |p|: the
+    inverse CDF over the cumulative step counts ``cum_steps`` (Alg. 1 line
+    5 as odgi-layout realises it), shared by term selection and
+    :meth:`PathIndex.sample_paths`."""
+    total = cum_steps[-1]
+    if total == 0:
+        raise ValueError("graph has no path steps to sample")
+    targets = np.minimum((uniforms * total).astype(np.int64), total - 1)
+    return np.searchsorted(cum_steps, targets, side="right") - 1
 
 
 class PathIndex:
@@ -52,9 +64,8 @@ class PathIndex:
     def cum_steps(self) -> np.ndarray:
         """``(n_paths + 1,)`` cumulative step counts backing path sampling.
 
-        This is the inverse-CDF table :meth:`sample_paths` searches; the
-        fused iteration kernels consume it directly so their in-kernel path
-        selection is the same table lookup.
+        This is the inverse-CDF table :func:`paths_for_uniforms` searches,
+        for :meth:`sample_paths` and for term selection alike.
         """
         return self._cum_steps
 
@@ -118,18 +129,10 @@ class PathIndex:
 
     # ------------------------------------------------------------- sampling
     def sample_paths(self, rng_uniform: np.ndarray) -> np.ndarray:
-        """Map uniform [0,1) draws to path indices with probability ∝ |p|.
-
-        Implemented as inverse-CDF over the cumulative step counts, which is
-        exactly how odgi-layout realises Alg. 1 line 5: draw a global step
-        uniformly, then take the path that owns it.
-        """
-        rng_uniform = np.asarray(rng_uniform, dtype=np.float64)
-        total = self._cum_steps[-1]
-        if total == 0:
-            raise ValueError("graph has no path steps to sample")
-        targets = np.minimum((rng_uniform * total).astype(np.int64), total - 1)
-        return np.searchsorted(self._cum_steps, targets, side="right") - 1
+        """Map uniform [0,1) draws to path indices with probability ∝ |p|
+        (:func:`paths_for_uniforms` over :attr:`cum_steps`)."""
+        return paths_for_uniforms(self._cum_steps,
+                                  np.asarray(rng_uniform, dtype=np.float64))
 
     def memory_bytes(self) -> int:
         """Footprint of the index arrays (excludes the lazy node index)."""

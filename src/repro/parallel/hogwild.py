@@ -7,10 +7,11 @@ probability of two concurrent updates touching the same node is negligible,
 so the racy updates almost never interfere.
 
 This module quantifies that argument for any graph: given a concurrency
-level, it estimates (analytically) and measures (empirically, over sampled
-batches) the probability that two in-flight updates collide on a
-visualisation point. The batched engines use the same collision counters to
-explain why very large batches (Table III) start degrading quality.
+level, it estimates (analytically) and measures (empirically, over batches
+drawn by :func:`~repro.core.fused.draw_segment`) the probability that two
+in-flight updates collide on a visualisation point. The batched engines use
+the same collision counters to explain why very large batches (Table III)
+start degrading quality.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.fused import draw_segment
 from ..core.params import LayoutParams
 from ..core.selection import PairSampler
 from ..core.updates import compact_points
@@ -69,7 +71,7 @@ def measure_collisions(
     rng = Xoshiro256Plus(seed, n_streams=min(concurrency, 1024))
     fractions = []
     for b in range(n_batches):
-        batch = sampler.sample(rng, concurrency, iteration=0)
+        batch = draw_segment(sampler, rng, concurrency, 0)
         points = np.concatenate([
             2 * batch.node_i + batch.vis_i,
             2 * batch.node_j + batch.vis_j,

@@ -6,14 +6,19 @@ GPU model's warp merging and data reuse, the batched engine's launch
 accounting, the fixed-hop sampler and the ``record_history`` stress probe
 folded into it. This module keeps the loop they replaced, as the reference
 the fused iteration is checked against: per iteration, per planned batch,
-``draw_batch`` → ``on_batch`` → ``apply_batch``, and after batch 0 the
+``draw_batch`` → ``on_batch`` → ``merge_batch``, and after batch 0 the
 history's ``batch_stress`` probe.
 
-The hooks are the deleted engine methods, kept verbatim:
+The hooks are the deleted engine methods:
 ``LayoutEngine.draw_batch``/``on_batch``, ``OptimizedGpuEngine.draw_batch``/
 ``on_batch``/``_apply_warp_shuffle_reuse``/``make_workspace``,
 ``BatchedLayoutEngine.on_batch`` and ``_FixedHopRun.draw_batch``/
-``batch_plan``. :class:`PerBatchRun` wraps an engine and forwards every
+``batch_plan``. They are verbatim except for the draw: each batch fills
+its own uniform block (:func:`draw_block`, one ``next_double_block`` per
+call, the fill the deleted ``PairSampler._uniforms`` made) and selects
+from it with ``select_from_uniforms`` or ``select_fixed_hop``, so nothing
+here goes through the run's re-lay (``uniform_call_plan`` /
+``iteration_draws``). :class:`PerBatchRun` wraps an engine and forwards every
 other attribute to it, so the hooks read the engine's graph, params,
 sampler and config as they did. The run loop is ``LayoutEngine.run`` with
 the per-batch branch of its session, minus tracing.
@@ -36,22 +41,32 @@ from repro.core import (
     SerialReferenceEngine,
     StepBatch,
     UpdateWorkspace,
-    apply_batch,
     batch_stress,
     initialize_layout,
+    merge_batch,
 )
 from repro.core.layout import Layout
 from repro.prng import Xoshiro256Plus
 
 
 # --------------------------------------------------------------------------
-# The hooks, verbatim
+# The hooks
 # --------------------------------------------------------------------------
+def draw_block(rng: Xoshiro256Plus, batch_size: int, n_vectors: int) -> np.ndarray:
+    """``n_vectors`` uniform vectors of ``batch_size`` values from one bulk
+    fill, vector-major and call-minor: call ``c`` of vector ``v`` is PRNG
+    call ``v · ceil(batch_size / n_streams) + c``."""
+    need = -(-batch_size // rng.n_streams)
+    block = rng.next_double_block(n_vectors * need)
+    return block.reshape(n_vectors, need * rng.n_streams)[:, :batch_size]
+
+
 def _stock_draw_batch(
     self, rng: Xoshiro256Plus, batch_size: int, iteration: int, batch_index: int
 ) -> StepBatch:
     """Draw one batch of update terms (engines may override the policy)."""
-    return self.sampler.sample(rng, batch_size, iteration)
+    return self.sampler.select_from_uniforms(draw_block(rng, batch_size, 8),
+                                             batch_size, iteration)
 
 
 def _stock_on_batch(self, batch: StepBatch, iteration: int, batch_index: int) -> StepBatch:
@@ -82,7 +97,7 @@ def _gpu_draw_batch(
         # The sampler's bulk draw consumes the PRNG streams in the same
         # order the historical concatenate-until-full loop did.
         n_warps = int(np.ceil(batch_size / warp))
-        warp_draws = self.sampler._uniforms(rng, n_warps, 1)[0]
+        warp_draws = draw_block(rng, n_warps, 1)[0]
         always = iteration >= self.params.first_cooling_iteration()
         warp_cooling = np.full(n_warps, always, dtype=bool) | (warp_draws < 0.5)
         cooling_mask = np.repeat(warp_cooling, warp)[:batch_size]
@@ -92,11 +107,11 @@ def _gpu_draw_batch(
         # Path-coherent warps: every lane of a warp samples from the same
         # path so warp-shuffled pairs stay on one path.
         n_warps = int(np.ceil(batch_size / warp))
-        path_draw = self.sampler._uniforms(rng, n_warps, 1)[0]
+        path_draw = draw_block(rng, n_warps, 1)[0]
         warp_paths = self.index.sample_paths(path_draw)
         path_override = np.repeat(warp_paths, warp)[:batch_size]
-    return self.sampler.sample(
-        rng,
+    return self.sampler.select_from_uniforms(
+        draw_block(rng, batch_size, 8),
         batch_size,
         iteration,
         cooling_mask=cooling_mask,
@@ -167,7 +182,8 @@ def _fixed_hop_batch_plan(self, steps_per_iteration: int) -> List[int]:
 
 def _fixed_hop_draw_batch(self, rng: Xoshiro256Plus, batch_size: int, iteration: int,
                           batch_index: int) -> StepBatch:
-    return self.sampler.sample_fixed_hop(rng, batch_size, self.hop)
+    return self.sampler.select_fixed_hop(draw_block(rng, batch_size, 4),
+                                         batch_size, self.hop)
 
 
 # --------------------------------------------------------------------------
@@ -253,10 +269,9 @@ class PerBatchRun:
             for batch_index, batch_size in enumerate(plan):
                 batch = self.draw_batch(rng, batch_size, iteration, batch_index)
                 batch = self.on_batch(batch, iteration, batch_index)
-                stats = apply_batch(coords, batch, eta, merge=merge,
-                                    workspace=workspace)
-                n_collisions += stats.n_point_collisions
-                n_terms += stats.n_terms
+                n_collisions += merge_batch(coords, batch, eta, merge,
+                                            workspace)
+                n_terms += len(batch)
                 if params.record_history and batch_index == 0:
                     stress = batch_stress(coords, batch)
             total_terms += n_terms

@@ -22,7 +22,7 @@ Around it:
   and ``point_collisions`` with NumPy's; ``TestFusedConformanceOnFallback``
   repeats the axis with the fallback on both sides;
 * a **process-parallel axis**: one shm worker is the flat engine;
-* a **kernel axis**: heavily colliding batches through ``apply_batch``,
+* a **kernel axis**: heavily colliding batches through ``merge_batch``,
   compiled against the NumPy fallback.
 """
 from __future__ import annotations
@@ -40,8 +40,9 @@ from repro.core import (
     PairSampler,
     SerialReferenceEngine,
     UpdateWorkspace,
-    apply_batch,
+    draw_segment,
     initialize_layout,
+    merge_batch,
 )
 from repro.prng import Xoshiro256Plus
 from repro.synth import PangenomeConfig, simulate_pangenome
@@ -250,7 +251,7 @@ class TestShmConformance:
 
 @pytest.mark.parametrize("merge", MERGES)
 class TestKernelLevelConformance:
-    def test_apply_batch_matches_fallback(self, conf_graph, merge,
+    def test_merge_batch_matches_fallback(self, conf_graph, merge,
                                           on_fallback):
         """Heavily colliding sampled batches through the bare kernels: the
         merge callers take (compiled when it loads) against the NumPy
@@ -259,14 +260,12 @@ class TestKernelLevelConformance:
         rng = Xoshiro256Plus(23, n_streams=64)
         base = initialize_layout(conf_graph, seed=2).coords
         for batch_size in (1, 33, 256):
-            batch = sampler.sample(rng, batch_size, iteration=0)
+            batch = draw_segment(sampler, rng, batch_size, 0)
             expect = base.copy()
-            ref_stats = on_fallback(apply_batch, expect, batch, 0.8,
-                                    merge=merge,
-                                    workspace=UpdateWorkspace(batch_size))
+            ref_collisions = on_fallback(merge_batch, expect, batch, 0.8,
+                                         merge, UpdateWorkspace(batch_size))
             got = base.copy()
-            got_stats = apply_batch(got, batch, 0.8, merge=merge,
-                                    workspace=UpdateWorkspace(batch_size))
+            got_collisions = merge_batch(got, batch, 0.8, merge,
+                                         UpdateWorkspace(batch_size))
             assert got.tobytes() == expect.tobytes()
-            assert got_stats.n_point_collisions == ref_stats.n_point_collisions
-            assert got_stats.n_terms == ref_stats.n_terms
+            assert got_collisions == ref_collisions

@@ -10,16 +10,18 @@ from repro.core import (
     NodeDataLayout,
     PairSampler,
     UpdateWorkspace,
-    apply_batch,
     batch_stress,
     compute_displacements,
     distance_bounds,
+    draw_segment,
     initialize_layout,
     make_schedule,
+    merge_batch,
     node_record_addresses,
     prepare_block,
     zipf_hop_distances,
 )
+from repro.core.selection import DrawRecipe, SelectionArrays
 from repro.prng import Xoshiro256Plus
 
 
@@ -233,7 +235,7 @@ class TestPairSampler:
 
     def test_batch_fields_consistent(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample(rng, 512, iteration=0)
+        batch = draw_segment(sampler, rng, 512, 0)
         assert len(batch) == 512
         # Nodes must match the steps they were derived from.
         assert np.array_equal(batch.node_i, small_synthetic.step_nodes[batch.flat_i])
@@ -247,7 +249,7 @@ class TestPairSampler:
 
     def test_d_ref_matches_positions(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample(rng, 256, iteration=0)
+        batch = draw_segment(sampler, rng, 256, 0)
         expected = np.abs(
             small_synthetic.step_positions[batch.flat_i]
             - small_synthetic.step_positions[batch.flat_j]
@@ -256,25 +258,28 @@ class TestPairSampler:
 
     def test_endpoints_binary(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample(rng, 256, iteration=0)
+        batch = draw_segment(sampler, rng, 256, 0)
         assert set(np.unique(batch.vis_i)) <= {0, 1}
         assert set(np.unique(batch.vis_j)) <= {0, 1}
 
     def test_cooling_always_in_second_half(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic, iter_max=10)
-        late = sampler.sample(rng, 256, iteration=9)
+        late = draw_segment(sampler, rng, 256, 9)
         assert np.all(late.in_cooling)
 
     def test_cooling_mixed_in_first_half(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic, iter_max=10)
-        early = sampler.sample(rng, 2048, iteration=0)
+        early = draw_segment(sampler, rng, 2048, 0)
         frac = early.in_cooling.mean()
         assert 0.3 < frac < 0.7
 
     def test_cooling_pairs_are_closer(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic, zipf_space_max=50)
-        cool = sampler.sample(rng, 2048, iteration=0, forced_cooling=True)
-        hot = sampler.sample(rng, 2048, iteration=0, forced_cooling=False)
+        draws = rng.next_double_block(8 * 8).reshape(8, 2048)
+        cool = sampler.select_from_uniforms(
+            draws, 2048, 0, cooling_mask=np.ones(2048, dtype=bool))
+        hot = sampler.select_from_uniforms(
+            draws, 2048, 0, cooling_mask=np.zeros(2048, dtype=bool))
         hop_cool = np.abs(cool.flat_i - cool.flat_j)
         hop_hot = np.abs(hot.flat_i - hot.flat_j)
         assert np.median(hop_cool) < np.median(hop_hot)
@@ -283,48 +288,27 @@ class TestPairSampler:
         sampler, rng = self._sampler(small_synthetic)
         mask = np.zeros(128, dtype=bool)
         mask[::2] = True
-        batch = sampler.sample(rng, 128, iteration=0, cooling_mask=mask)
+        draws = rng.next_double_block(8)[:, :128]
+        batch = sampler.select_from_uniforms(draws, 128, 0, cooling_mask=mask)
         assert np.array_equal(batch.in_cooling, mask)
 
     def test_path_override(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic)
         override = np.full(64, 2, dtype=np.int64)
-        batch = sampler.sample(rng, 64, iteration=0, path_override=override)
+        draws = rng.next_double_block(8)[:, :64]
+        batch = sampler.select_from_uniforms(draws, 64, 0, path_override=override)
         assert np.all(batch.path == 2)
 
     def test_fixed_hop_sampler(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample_fixed_hop(rng, 256, hop=10)
+        batch = draw_segment(sampler, rng, 256, 0, DrawRecipe(hop=10))
         hop = np.abs(batch.flat_i - batch.flat_j)
         assert np.all(hop <= 10)
         assert np.median(hop) == 10
 
-    def test_nonzero_terms_filter(self, small_synthetic):
-        sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample(rng, 512, iteration=0).nonzero_terms()
-        assert np.all(batch.d_ref > 0)
-
-    def test_nonzero_terms_fast_path_skips_copy(self, small_synthetic):
-        # When every d_ref > 0 (the common case) the batch is returned as
-        # is — no 9-array fancy-index copy on the hot path.
-        sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample(rng, 64, iteration=0)
-        clean = batch.nonzero_terms()  # pre-filtered: all-positive already
-        assert clean.nonzero_terms() is clean
-        assert clean.nonzero_terms().d_ref is clean.d_ref
-        # A batch with zero-reference terms still takes the filtering copy.
-        dirty = type(batch)(**{k: getattr(clean, k).copy() for k in (
-            "path", "flat_i", "flat_j", "node_i", "node_j",
-            "vis_i", "vis_j", "d_ref", "in_cooling")})
-        dirty.d_ref[0] = 0.0
-        filtered = dirty.nonzero_terms()
-        assert filtered is not dirty
-        assert len(filtered) == len(dirty) - 1
-        assert np.all(filtered.d_ref > 0)
-
     def test_batch_slice_returns_views(self, small_synthetic):
         sampler, rng = self._sampler(small_synthetic)
-        batch = sampler.sample(rng, 32, iteration=0)
+        batch = draw_segment(sampler, rng, 32, 0)
         part = batch.slice(4, 12)
         assert len(part) == 8
         assert part.node_i.base is batch.node_i
@@ -336,6 +320,37 @@ class TestPairSampler:
         with pytest.raises(ValueError):
             PairSampler(empty, LayoutParams())
 
+    @pytest.mark.parametrize("recipe", [
+        dict(),                                       # stock (CPU, batched)
+        dict(warp=32),                                # warp merging
+        dict(warp=32, warp_paths=True, reuse=2),      # data reuse
+        dict(hop=3),                                  # fixed hop
+    ], ids=["stock", "warp-merging", "data-reuse", "hop"])
+    def test_from_arrays_selects_like_the_graph_built_sampler(
+            self, small_synthetic, recipe):
+        """A sampler over bare copies of the selection arrays (what a
+        shared-memory worker builds) selects the graph-built sampler's
+        terms byte for byte, data reuse included."""
+        params = LayoutParams(iter_max=10)
+        built = PairSampler(small_synthetic, params)
+        bare = PairSampler.from_arrays(
+            SelectionArrays(*(a.copy() for a in built.arrays)), params)
+        for iteration in (0, 9):
+            terms = []
+            for sampler in (built, bare):
+                r = DrawRecipe(**recipe)
+                batch = draw_segment(sampler, Xoshiro256Plus(5, n_streams=64),
+                                     200, iteration, r)
+                if r.reuse > 1:
+                    batch = sampler.warp_shuffle(batch, [200], r)
+                terms.append((batch, r.cooling_sum))
+            (got, got_cooling), (expect, expect_cooling) = terms[1], terms[0]
+            assert got_cooling == expect_cooling
+            for name in ("path", "flat_i", "flat_j", "node_i", "node_j",
+                         "vis_i", "vis_j", "d_ref", "in_cooling"):
+                a, b = getattr(got, name), getattr(expect, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
 
 class TestUpdates:
     def test_single_term_moves_points_toward_reference(self, tiny_graph):
@@ -343,9 +358,9 @@ class TestUpdates:
         coords = layout.coords
         sampler = PairSampler(tiny_graph, LayoutParams())
         rng = Xoshiro256Plus(3, n_streams=8)
-        batch = sampler.sample(rng, 8, iteration=0).nonzero_terms()
+        batch = draw_segment(sampler, rng, 8, 0)
         before = batch_stress(coords, batch)
-        apply_batch(coords, batch, eta=1.0)
+        merge_batch(coords, batch, 1.0, "hogwild", UpdateWorkspace(8))
         after = batch_stress(coords, batch)
         assert after <= before
 
@@ -353,7 +368,7 @@ class TestUpdates:
         layout = initialize_layout(small_synthetic, seed=0)
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(1, n_streams=64)
-        batch = sampler.sample(rng, 64, iteration=0)
+        batch = draw_segment(sampler, rng, 64, 0)
         ws = UpdateWorkspace(64)
         block = prepare_block(batch, 0.5, ws)
         pi, pj, delta = compute_displacements(layout.coords, block, 0, ws)
@@ -365,14 +380,13 @@ class TestUpdates:
     def test_merge_policies_touch_same_points(self, small_synthetic):
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(5, n_streams=128)
-        batch = sampler.sample(rng, 128, iteration=0)
+        batch = draw_segment(sampler, rng, 128, 0)
         base = initialize_layout(small_synthetic, seed=2).coords
         results = {}
         for merge in ("hogwild", "accumulate", "last_writer"):
             coords = base.copy()
-            stats = apply_batch(coords, batch, eta=0.5, merge=merge)
+            merge_batch(coords, batch, 0.5, merge, UpdateWorkspace(128))
             results[merge] = coords
-            assert stats.n_terms == 128
         # All policies move the layout somewhere (but not necessarily equally).
         for merge, coords in results.items():
             assert not np.allclose(coords, base), merge
@@ -380,19 +394,22 @@ class TestUpdates:
     def test_invalid_merge_policy(self, small_synthetic):
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(5, n_streams=16)
-        batch = sampler.sample(rng, 16, iteration=0)
-        with pytest.raises(ValueError):
-            apply_batch(initialize_layout(small_synthetic).coords, batch, 0.1, merge="bogus")
+        batch = draw_segment(sampler, rng, 16, 0)
+        coords = initialize_layout(small_synthetic).coords
+        before = coords.copy()
+        with pytest.raises(ValueError, match="merge policy"):
+            merge_batch(coords, batch, 0.1, "bogus", UpdateWorkspace(16))
+        np.testing.assert_array_equal(coords, before)
 
-    def test_empty_batch(self, small_synthetic):
+    def test_empty_batch_rejected(self, small_synthetic):
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(5, n_streams=16)
-        batch = sampler.sample(rng, 16, iteration=0)
-        empty = batch.nonzero_terms()
-        empty = type(batch)(**{k: getattr(batch, k)[:0] for k in (
-            "path", "flat_i", "flat_j", "node_i", "node_j", "vis_i", "vis_j", "d_ref", "in_cooling")})
-        stats = apply_batch(initialize_layout(small_synthetic).coords, empty, 0.1)
-        assert stats.n_terms == 0
+        empty = draw_segment(sampler, rng, 16, 0).slice(0, 0)
+        coords = initialize_layout(small_synthetic).coords
+        before = coords.copy()
+        with pytest.raises(ValueError, match="equal segments"):
+            merge_batch(coords, empty, 0.1, "hogwild", UpdateWorkspace(4))
+        np.testing.assert_array_equal(coords, before)
 
     def test_mu_cap_prevents_overshoot(self, tiny_graph):
         # With a huge learning rate a single term must not overshoot past the
@@ -401,12 +418,11 @@ class TestUpdates:
         coords = layout.coords
         sampler = PairSampler(tiny_graph, LayoutParams())
         rng = Xoshiro256Plus(7, n_streams=1)
-        batch = sampler.sample(rng, 1, iteration=0).nonzero_terms()
-        if len(batch) == 0:
-            pytest.skip("degenerate draw")
+        batch = draw_segment(sampler, rng, 1, 0)
+        assert batch.d_ref[0] > 0
         pi = 2 * batch.node_i + batch.vis_i
         pj = 2 * batch.node_j + batch.vis_j
         before_err = abs(np.linalg.norm(coords[pi] - coords[pj]) - batch.d_ref[0])
-        apply_batch(coords, batch, eta=1e12)
+        merge_batch(coords, batch, 1e12, "hogwild", UpdateWorkspace(1))
         after_err = abs(np.linalg.norm(coords[pi] - coords[pj]) - batch.d_ref[0])
         assert after_err <= before_err + 1e-6

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from per_batch_reference import PerBatchRun
+from per_batch_reference import PerBatchRun, draw_block
 from repro.backend import NUMPY_BACKEND
 from repro.core import (
     BatchedLayoutEngine,
@@ -83,11 +83,11 @@ class TestUniformCallPlan:
         rng_block = Xoshiro256Plus(5, n_streams=streams)
         block = rng_block.next_double_block(total_calls)
         relaid = iteration_draws(block, plan, need, streams)
-        # Reference: what the unfused per-batch _uniforms would have drawn.
+        # Reference: what the per-batch loop's own block fill draws.
         rng_ref = Xoshiro256Plus(5, n_streams=streams)
         offset = 0
         for batch in plan:
-            expect = PairSampler._uniforms(rng_ref, batch, 8)
+            expect = draw_block(rng_ref, batch, 8)
             np.testing.assert_array_equal(relaid[:, offset:offset + batch],
                                           expect)
             offset += batch
@@ -186,7 +186,7 @@ class TestRunIterationContract:
         ws = UpdateWorkspace(max(plan))
         collisions = 0
         for batch_size in plan:
-            draws = PairSampler._uniforms(rng, batch_size, 8)
+            draws = draw_block(rng, batch_size, 8)
             batch = sampler.select_from_uniforms(draws, batch_size, iteration)
             collisions += merge_batch(coords, batch, eta, merge, ws)
         return collisions

@@ -35,6 +35,7 @@ from repro.core.fused import (
     BLOCK_TERMS,
     block_plan,
     build_iteration_plans,
+    draw_segment,
     iteration_draws,
     run_iteration_host,
     slice_plan,
@@ -186,7 +187,7 @@ class TestAgainstOracle:
 
     def test_per_segment_compaction(self, small_synthetic, merge):
         sampler = PairSampler(small_synthetic, LayoutParams())
-        terms = sampler.sample(Xoshiro256Plus(12, n_streams=STREAMS), 64 * 9, 0)
+        terms = draw_segment(sampler, Xoshiro256Plus(12, n_streams=STREAMS), 64 * 9, 0)
         coords = initialize_layout(small_synthetic, seed=1).coords
         block = prepare_block(terms, 1.0, UpdateWorkspace(64), 9, coords.shape[0])
         for s in range(9):

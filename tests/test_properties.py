@@ -10,9 +10,11 @@ from repro.bench import format_hms, geometric_mean
 from repro.core import (
     LayoutParams,
     PairSampler,
-    apply_batch,
+    UpdateWorkspace,
+    draw_segment,
     initialize_layout,
     make_schedule,
+    merge_batch,
     zipf_hop_distances,
 )
 from repro.core.layout import Layout, NodeDataLayout, node_record_addresses
@@ -77,7 +79,7 @@ class TestSamplerProperties:
         params = LayoutParams(seed=seed)
         sampler = PairSampler(graph, params)
         rng = Xoshiro256Plus(seed, n_streams=64)
-        batch = sampler.sample(rng, batch_size, iteration=0)
+        batch = draw_segment(sampler, rng, batch_size, 0)
         offsets = graph.path_offsets
         assert np.all(batch.flat_i >= offsets[batch.path])
         assert np.all(batch.flat_i < offsets[batch.path + 1])
@@ -93,8 +95,9 @@ class TestSamplerProperties:
         sampler = PairSampler(graph, params)
         rng = Xoshiro256Plus(seed, n_streams=64)
         sched = make_schedule(graph, params)
-        batch = sampler.sample(rng, 64, iteration=0)
-        apply_batch(layout.coords, batch, float(sched[0]))
+        batch = draw_segment(sampler, rng, 64, 0)
+        merge_batch(layout.coords, batch, float(sched[0]), "hogwild",
+                    UpdateWorkspace(64))
         assert np.all(np.isfinite(layout.coords))
 
 

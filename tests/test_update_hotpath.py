@@ -1,10 +1,12 @@
 """Hot-path regression tests: O(batch) merges, workspace reuse, bulk draws.
 
-The reworked ``apply_batch`` compacts over the touched points instead of
-allocating graph-sized scratch per batch; these tests pin its numerical
-equivalence (within 1e-9) to the seed implementation for every merge policy,
-the collision counters, the degenerate cases, and the sampler's single-loop
-bulk uniform draw (byte-identical to the historical nested-loop draw order).
+``merge_batch``, the merge every run takes, compacts over the touched points
+instead of allocating graph-sized scratch per batch; these tests pin its
+numerical equivalence (within 1e-9) to the seed implementation for every
+merge policy, the collision counters and the degenerate cases. They also
+pin the run's draw order (``uniform_call_plan`` → ``next_double_block`` →
+``iteration_draws``, and ``draw_segment`` for one segment) to the seed's
+nested-loop draw, byte for byte and to the final PRNG state.
 """
 from __future__ import annotations
 
@@ -16,14 +18,19 @@ from repro.core import (
     PairSampler,
     StepBatch,
     UpdateWorkspace,
-    apply_batch,
     compact_points,
     compute_displacements,
+    draw_segment,
     initialize_layout,
+    merge_batch,
     prepare_block,
     split_into_batches,
+    uniform_call_plan,
 )
+from repro.core.fused import iteration_draws
+from repro.core.selection import DrawRecipe
 from repro.core.updates import _MIN_DISTANCE
+from repro.graph import PathIndex
 from repro.prng import Xoshiro256Plus
 
 
@@ -32,7 +39,7 @@ from repro.prng import Xoshiro256Plus
 # --------------------------------------------------------------------------
 
 def seed_apply_batch(coords, batch, eta, merge):
-    """The original full-array implementation of apply_batch's write merge."""
+    """The original full-array implementation of the per-batch write merge."""
     d_ref = batch.d_ref
     valid = d_ref > 0
     d_safe = np.where(valid, d_ref, 1.0)
@@ -69,7 +76,7 @@ def seed_apply_batch(coords, batch, eta, merge):
 
 
 def seed_uniforms(rng, batch_size, n_vectors):
-    """The original nested-loop _uniforms (defines the draw-order contract)."""
+    """The original nested-loop uniform draw (defines the draw-order contract)."""
     first = np.asarray(rng.next_double(), dtype=np.float64)
     n_streams = first.size
     need_calls = int(np.ceil(batch_size / n_streams))
@@ -99,85 +106,86 @@ def make_batch(node_i, node_j, vis_i, vis_j, d_ref):
 
 
 MERGES = ("hogwild", "accumulate", "last_writer")
+FIELDS = ("path", "flat_i", "flat_j", "node_i", "node_j", "vis_i", "vis_j",
+          "d_ref", "in_cooling")
+
+
+def merge(coords, batch, eta, policy, workspace=None):
+    """One-segment ``merge_batch`` with a batch-sized workspace by default."""
+    ws = workspace if workspace is not None else UpdateWorkspace(len(batch))
+    return merge_batch(coords, batch, eta, policy, ws)
+
+
+def assert_same_terms(got, expect):
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestMergeEquivalence:
-    @pytest.mark.parametrize("merge", MERGES)
+    @pytest.mark.parametrize("policy", MERGES)
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 256])
-    def test_matches_seed_implementation(self, small_synthetic, merge, batch_size):
+    def test_matches_seed_implementation(self, small_synthetic, policy, batch_size):
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(11, n_streams=64)
-        batch = sampler.sample(rng, batch_size, iteration=0)
+        batch = draw_segment(sampler, rng, batch_size, 0)
         base = initialize_layout(small_synthetic, seed=4).coords
         expected = base.copy()
-        seed_collisions = seed_apply_batch(expected, batch, 0.7, merge)
+        seed_collisions = seed_apply_batch(expected, batch, 0.7, policy)
         got = base.copy()
-        stats = apply_batch(got, batch, 0.7, merge=merge)
+        collisions = merge(got, batch, 0.7, policy)
         np.testing.assert_allclose(got, expected, atol=1e-9, rtol=0)
-        assert stats.n_point_collisions == seed_collisions
+        assert collisions == seed_collisions
 
-    @pytest.mark.parametrize("merge", MERGES)
-    def test_heavily_colliding_batch(self, merge):
+    @pytest.mark.parametrize("policy", MERGES)
+    def test_heavily_colliding_batch(self, policy):
         # Every term hits the same two points: maximal collisions.
         n = 32
         coords = np.array([[0.0, 0.0], [1.0, 0.5], [5.0, 0.0], [6.0, 1.0]])
         batch = make_batch([0] * n, [1] * n, [0] * n, [1] * n, [2.0] * n)
         expected = coords.copy()
-        seed_collisions = seed_apply_batch(expected, batch, 1.0, merge)
+        seed_collisions = seed_apply_batch(expected, batch, 1.0, policy)
         got = coords.copy()
-        stats = apply_batch(got, batch, 1.0, merge=merge)
+        collisions = merge(got, batch, 1.0, policy)
         np.testing.assert_allclose(got, expected, atol=1e-9, rtol=0)
-        assert stats.n_point_collisions == seed_collisions == 2 * n - 2
+        assert collisions == seed_collisions == 2 * n - 2
 
-    @pytest.mark.parametrize("merge", MERGES)
-    def test_coincident_points_get_degeneracy_nudge(self, merge):
+    @pytest.mark.parametrize("policy", MERGES)
+    def test_coincident_points_get_degeneracy_nudge(self, policy):
         # Both endpoints at the same location: the x-nudge branch fires.
         coords = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         batch = make_batch([0, 0], [1, 1], [0, 1], [0, 1], [3.0, 3.0])
         expected = coords.copy()
-        seed_apply_batch(expected, batch, 1.0, merge)
+        seed_apply_batch(expected, batch, 1.0, policy)
         got = coords.copy()
-        apply_batch(got, batch, 1.0, merge=merge)
+        merge(got, batch, 1.0, policy)
         np.testing.assert_allclose(got, expected, atol=1e-9, rtol=0)
         assert not np.allclose(got, coords)
 
-    @pytest.mark.parametrize("merge", MERGES)
-    def test_zero_reference_terms_do_not_move(self, merge):
+    @pytest.mark.parametrize("policy", MERGES)
+    def test_zero_reference_terms_do_not_move(self, policy):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
         batch = make_batch([0], [1], [0], [0], [0.0])
         got = coords.copy()
-        stats = apply_batch(got, batch, 1.0, merge=merge)
+        merge(got, batch, 1.0, policy)
         np.testing.assert_array_equal(got, coords)
-        assert stats.n_zero_ref == 1
-
-    def test_empty_batch_with_workspace(self, small_synthetic):
-        sampler = PairSampler(small_synthetic, LayoutParams())
-        rng = Xoshiro256Plus(5, n_streams=16)
-        batch = sampler.sample(rng, 16, iteration=0)
-        empty = StepBatch(**{k: getattr(batch, k)[:0] for k in (
-            "path", "flat_i", "flat_j", "node_i", "node_j",
-            "vis_i", "vis_j", "d_ref", "in_cooling")})
-        coords = initialize_layout(small_synthetic).coords
-        before = coords.copy()
-        stats = apply_batch(coords, empty, 0.1, workspace=UpdateWorkspace(4))
-        assert stats.n_terms == 0
-        np.testing.assert_array_equal(coords, before)
 
 
 class TestWorkspace:
-    def test_workspace_and_default_paths_agree(self, small_synthetic):
+    def test_workspace_size_is_transparent(self, small_synthetic):
+        # A batch-sized workspace and one grown from a single term merge
+        # the same bytes and count the same collisions.
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(3, n_streams=128)
-        batch = sampler.sample(rng, 128, iteration=0)
+        batch = draw_segment(sampler, rng, 128, 0)
         base = initialize_layout(small_synthetic, seed=1).coords
-        for merge in MERGES:
-            with_ws = base.copy()
-            without = base.copy()
-            ws = UpdateWorkspace(128)
-            s1 = apply_batch(with_ws, batch, 0.5, merge=merge, workspace=ws)
-            s2 = apply_batch(without, batch, 0.5, merge=merge)
-            np.testing.assert_array_equal(with_ws, without)
-            assert s1 == s2
+        for policy in MERGES:
+            sized = base.copy()
+            grown = base.copy()
+            c1 = merge(sized, batch, 0.5, policy, UpdateWorkspace(128))
+            c2 = merge(grown, batch, 0.5, policy, UpdateWorkspace(1))
+            np.testing.assert_array_equal(sized, grown)
+            assert c1 == c2
 
     def test_workspace_reused_across_batches(self, small_synthetic):
         # The same buffers back successive calls: no steady-state growth.
@@ -187,23 +195,23 @@ class TestWorkspace:
         ws = UpdateWorkspace(64)
         buffers = (ws.merge_points, ws.merge_delta, ws.term_delta)
         for _ in range(4):
-            batch = sampler.sample(rng, 64, iteration=0)
-            apply_batch(coords, batch, 0.3, workspace=ws)
+            batch = draw_segment(sampler, rng, 64, 0)
+            merge(coords, batch, 0.3, "hogwild", ws)
         assert (ws.merge_points, ws.merge_delta, ws.term_delta) == buffers
 
     def test_workspace_grows_on_demand(self, small_synthetic):
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(9, n_streams=64)
         ws = UpdateWorkspace(8)
-        batch = sampler.sample(rng, 200, iteration=0)
+        batch = draw_segment(sampler, rng, 200, 0)
         coords = initialize_layout(small_synthetic, seed=2).coords
-        apply_batch(coords, batch, 0.3, workspace=ws)
+        merge(coords, batch, 0.3, "hogwild", ws)
         assert ws.max_batch >= 200
 
     def test_displacement_views_come_from_workspace(self, small_synthetic):
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(9, n_streams=32)
-        batch = sampler.sample(rng, 32, iteration=0)
+        batch = draw_segment(sampler, rng, 32, 0)
         coords = initialize_layout(small_synthetic, seed=2).coords
         ws = UpdateWorkspace(32)
         block = prepare_block(batch, 0.5, ws)
@@ -238,77 +246,69 @@ class TestSplitIntoBatches:
         assert split_into_batches(0, 4) == []
 
 
-class TestBulkUniforms:
-    @pytest.mark.parametrize("n_streams", [1, 3, 64, 256])
+class TestDrawOrder:
+    """The run's draw against the seed's nested loop: a 6-vector draw, then
+    a 2-vector one (the fixed hop: two 2-vector draws), per segment."""
+
+    @pytest.mark.parametrize("n_streams", [1, 3, 64, 256, 512])
     @pytest.mark.parametrize("batch_size", [1, 5, 63, 64, 65, 256, 300])
-    def test_matches_seed_draw_order(self, n_streams, batch_size):
-        r_new = Xoshiro256Plus(7, n_streams=n_streams)
-        r_old = Xoshiro256Plus(7, n_streams=n_streams)
-        got = PairSampler._uniforms(r_new, batch_size, 8)
-        # The historical scheme: a 6-vector draw followed by a 2-vector draw.
-        expected = np.vstack([seed_uniforms(r_old, batch_size, 6),
-                              seed_uniforms(r_old, batch_size, 2)])
-        np.testing.assert_array_equal(got, expected)
-        # Both consumed the exact same number of PRNG calls.
+    def test_draw_segment_matches_seed_draw_order(self, small_synthetic,
+                                                  n_streams, batch_size):
+        sampler = PairSampler(small_synthetic, LayoutParams(iter_max=10))
+        for iteration in (0, 9):
+            r_new = Xoshiro256Plus(7, n_streams=n_streams)
+            r_old = Xoshiro256Plus(7, n_streams=n_streams)
+            got = draw_segment(sampler, r_new, batch_size, iteration)
+            draws = np.vstack([seed_uniforms(r_old, batch_size, 6),
+                               seed_uniforms(r_old, batch_size, 2)])
+            assert_same_terms(got, sampler.select_from_uniforms(
+                draws, batch_size, iteration))
+            # Both consumed the exact same number of PRNG calls.
+            np.testing.assert_array_equal(r_new.state, r_old.state)
+
+    @pytest.mark.parametrize("n_streams", [1, 3, 64])
+    @pytest.mark.parametrize("batch_size", [1, 65, 300])
+    def test_fixed_hop_matches_seed_draw_order(self, small_synthetic,
+                                               n_streams, batch_size):
+        sampler = PairSampler(small_synthetic, LayoutParams())
+        r_new = Xoshiro256Plus(19, n_streams=n_streams)
+        r_old = Xoshiro256Plus(19, n_streams=n_streams)
+        got = draw_segment(sampler, r_new, batch_size, 0, DrawRecipe(hop=3))
+        draws = np.vstack([seed_uniforms(r_old, batch_size, 2),
+                           seed_uniforms(r_old, batch_size, 2)])
+        assert_same_terms(got, sampler.select_fixed_hop(draws, batch_size, 3))
         np.testing.assert_array_equal(r_new.state, r_old.state)
 
-    def test_shape_and_range(self):
-        rng = Xoshiro256Plus(1, n_streams=16)
-        block = PairSampler._uniforms(rng, 40, 3)
-        assert block.shape == (3, 40)
-        assert np.all((block >= 0.0) & (block < 1.0))
+    @pytest.mark.parametrize("plan,streams", [([20, 20, 3], 7),
+                                              ([64, 64, 64, 10], 64),
+                                              ([5, 5, 5, 2], 1)])
+    def test_chunk_with_remainder_matches_seed_draw_order(self, plan, streams):
+        """A multi-segment chunk ending in a remainder segment: one bulk
+        draw re-laid by ``iteration_draws`` equals the seed's per-segment
+        draws side by side."""
+        need, calls = uniform_call_plan(plan, streams)
+        r_new = Xoshiro256Plus(23, n_streams=streams)
+        r_old = Xoshiro256Plus(23, n_streams=streams)
+        got = iteration_draws(r_new.next_double_block(calls), plan, need, streams)
+        expect = np.hstack([np.vstack([seed_uniforms(r_old, b, 6),
+                                       seed_uniforms(r_old, b, 2)])
+                            for b in plan])
+        assert got.shape == (8, sum(plan))
+        assert np.all((got >= 0.0) & (got < 1.0))
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(r_new.state, r_old.state)
 
-    def test_single_stream_single_term(self):
-        rng = Xoshiro256Plus(2, n_streams=1)
-        block = PairSampler._uniforms(rng, 1, 2)
-        assert block.shape == (2, 1)
-
-    def test_more_streams_than_batch(self):
-        rng = Xoshiro256Plus(2, n_streams=512)
-        block = PairSampler._uniforms(rng, 10, 4)
-        assert block.shape == (4, 10)
-
-    def test_invalid_sizes_rejected(self):
-        rng = Xoshiro256Plus(2, n_streams=4)
-        with pytest.raises(ValueError):
-            PairSampler._uniforms(rng, 0, 2)
-        with pytest.raises(ValueError):
-            PairSampler._uniforms(rng, 4, 0)
-
-    def test_uniforms_block_fill_matches_per_call_fallback(self):
-        """The next_double_block fast path equals the per-call legacy fill.
-
-        ``_uniforms`` consults ``n_streams``/``next_double_block`` when the
-        generator has them; a minimal next_double-only generator takes the
-        historical loop. Both must consume the streams identically — this is
-        the draw-order contract that keeps the smoke baseline pinned.
-        """
-
-        class CallOnly:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def next_double(self):
-                return self.inner.next_double()
-
-        for n_streams, batch in ((1, 9), (16, 40), (64, 64), (64, 130)):
-            fast = Xoshiro256Plus(31, n_streams=n_streams)
-            legacy = CallOnly(Xoshiro256Plus(31, n_streams=n_streams))
-            got = PairSampler._uniforms(fast, batch, 8)
-            expect = PairSampler._uniforms(legacy, batch, 8)
-            np.testing.assert_array_equal(got, expect)
-            np.testing.assert_array_equal(fast.state, legacy.inner.state)
-
-    def test_sample_unchanged_by_call_merging(self, small_synthetic):
-        """sample()'s one 8-vector draw equals the historical 6+2 split."""
+    def test_paths_and_endpoints_follow_the_seed_draws(self, small_synthetic):
+        """Vector 0 picks the path through the path index's inverse CDF and
+        vectors 6-7 are the endpoint coin flips."""
         sampler = PairSampler(small_synthetic, LayoutParams())
         rng = Xoshiro256Plus(13, n_streams=64)
         reference = Xoshiro256Plus(13, n_streams=64)
-        batch = sampler.sample(rng, 100, iteration=0)
+        batch = draw_segment(sampler, rng, 100, 0)
         draws = seed_uniforms(reference, 100, 6)
         vis = seed_uniforms(reference, 100, 2)
         np.testing.assert_array_equal(
-            batch.path, sampler.index.sample_paths(draws[0]))
+            batch.path, PathIndex(small_synthetic).sample_paths(draws[0]))
         np.testing.assert_array_equal(batch.vis_i, (vis[0] < 0.5).astype(np.int64))
         np.testing.assert_array_equal(batch.vis_j, (vis[1] < 0.5).astype(np.int64))
         np.testing.assert_array_equal(rng.state, reference.state)

@@ -26,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core import StepBatch, UpdateWorkspace, apply_batch, compact_points  # noqa: E402
+from repro.core import StepBatch, UpdateWorkspace, compact_points, merge_batch  # noqa: E402
 
 #: Generous per-example budget: CI boxes under load miss the default 200 ms.
 COMMON_SETTINGS = settings(deadline=None, max_examples=60)
@@ -69,6 +69,12 @@ def _coords_for(n_nodes: int, seed: int) -> np.ndarray:
     return rng.uniform(-50.0, 50.0, size=(2 * n_nodes, 2))
 
 
+def _merge(coords, batch, eta, merge="hogwild", workspace=None) -> int:
+    """One-segment ``merge_batch`` with a batch-sized workspace by default."""
+    ws = workspace if workspace is not None else UpdateWorkspace(len(batch))
+    return merge_batch(coords, batch, eta, merge, ws)
+
+
 def _permuted(batch: StepBatch, perm: np.ndarray) -> StepBatch:
     return StepBatch(
         path=batch.path[perm], flat_i=batch.flat_i[perm],
@@ -89,10 +95,10 @@ def test_merge_is_term_order_independent(merge, data, eta, perm_seed):
     base = _coords_for(n_nodes, seed=1)
     a = base.copy()
     b = base.copy()
-    stats_a = apply_batch(a, batch, eta, merge=merge)
-    stats_b = apply_batch(b, _permuted(batch, perm), eta, merge=merge)
+    collisions_a = _merge(a, batch, eta, merge)
+    collisions_b = _merge(b, _permuted(batch, perm), eta, merge)
     np.testing.assert_allclose(a, b, atol=1e-8, rtol=1e-9)
-    assert stats_a.n_point_collisions == stats_b.n_point_collisions
+    assert collisions_a == collisions_b
 
 
 @COMMON_SETTINGS
@@ -102,7 +108,7 @@ def test_untouched_points_never_move(merge, data, eta):
     batch, n_nodes = data
     coords = _coords_for(n_nodes, seed=2)
     before = coords.copy()
-    apply_batch(coords, batch, eta, merge=merge)
+    _merge(coords, batch, eta, merge)
     touched = np.unique(np.concatenate([
         2 * batch.node_i + batch.vis_i,
         2 * batch.node_j + batch.vis_j,
@@ -119,15 +125,14 @@ def test_collision_count_bounded_by_batch(merge, data, eta):
     batch, n_nodes = data
     n = len(batch)
     coords = _coords_for(n_nodes, seed=3)
-    stats = apply_batch(coords, batch, eta, merge=merge)
+    collisions = _merge(coords, batch, eta, merge)
     endpoints = np.concatenate([
         2 * batch.node_i + batch.vis_i,
         2 * batch.node_j + batch.vis_j,
     ])
     expected = endpoints.size - np.unique(endpoints).size
-    assert stats.n_point_collisions == expected
-    assert 0 <= stats.n_point_collisions <= 2 * n - 1
-    assert stats.n_terms == n
+    assert collisions == expected
+    assert 0 <= collisions <= 2 * n - 1
 
 
 @COMMON_SETTINGS
@@ -152,6 +157,6 @@ def test_workspace_reuse_is_transparent(data, eta):
     a = base.copy()
     b = base.copy()
     ws = UpdateWorkspace(1)  # deliberately undersized: must grow on demand
-    apply_batch(a, batch, eta, workspace=ws)
-    apply_batch(b, batch, eta)
+    _merge(a, batch, eta, workspace=ws)
+    _merge(b, batch, eta)
     np.testing.assert_array_equal(a, b)
